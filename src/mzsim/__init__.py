@@ -3,101 +3,3 @@ two-beam-splitter interferometer, with a statistics and fitting pipeline.
 """
 
 __version__ = "0.1.0"
-
-from .phases import TWO_PI, PhaseOscillator, phase_at, rebase_offset, signed_diff, wrap_phase
-from .optics import (
-    BeamSplitter,
-    DetectorCounts,
-    InteractionOutcome,
-    OutcomeKind,
-    Path,
-    PathSegment,
-    Photon,
-    decide,
-    generate_emissions,
-    interact,
-    propagate,
-)
-from .config import ConfigError, ExperimentConfig, SplitterConfig, load_config, save_config
-from .experiment import (
-    PhotonTrace,
-    RunRecord,
-    SweepPoint,
-    SweepResult,
-    default_sweep_deltas,
-    derive_child_seed,
-    diff_traces,
-    run_mzi,
-    run_single_bs,
-    run_sweep,
-)
-from .analysis import (
-    IntervalEstimate,
-    QmComparison,
-    SineFit,
-    binomial_ci,
-    compare_to_qm,
-    fit_sine,
-    qm_reference,
-    visibility,
-)
-from .output import (
-    OutputRecord,
-    build_record,
-    read_sweep_csv,
-    record_from_dict,
-    record_to_dict,
-    write_csv,
-    write_json,
-)
-
-__all__ = [
-    "TWO_PI",
-    "PhaseOscillator",
-    "wrap_phase",
-    "signed_diff",
-    "phase_at",
-    "rebase_offset",
-    "BeamSplitter",
-    "DetectorCounts",
-    "InteractionOutcome",
-    "OutcomeKind",
-    "Path",
-    "PathSegment",
-    "Photon",
-    "decide",
-    "generate_emissions",
-    "interact",
-    "propagate",
-    "ConfigError",
-    "ExperimentConfig",
-    "SplitterConfig",
-    "load_config",
-    "save_config",
-    "PhotonTrace",
-    "RunRecord",
-    "SweepPoint",
-    "SweepResult",
-    "default_sweep_deltas",
-    "derive_child_seed",
-    "diff_traces",
-    "run_mzi",
-    "run_single_bs",
-    "run_sweep",
-    "IntervalEstimate",
-    "QmComparison",
-    "SineFit",
-    "binomial_ci",
-    "compare_to_qm",
-    "fit_sine",
-    "qm_reference",
-    "visibility",
-    "OutputRecord",
-    "build_record",
-    "read_sweep_csv",
-    "record_from_dict",
-    "record_to_dict",
-    "write_csv",
-    "write_json",
-    "__version__",
-]

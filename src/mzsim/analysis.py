@@ -17,6 +17,7 @@ if TYPE_CHECKING:
     from .experiment import SweepResult
 
 _FREQ_SCAN_POINTS = 512
+_MIN_FIT_POINTS = 8
 _GN_MAX_ITER = 100
 _GN_MAX_HALVINGS = 25
 
@@ -96,6 +97,12 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return best
 
 
+def can_fit(deltas: "list[float]") -> bool:
+    """Whether :func:`fit_sine` accepts a sweep over these deltas: at least
+    8 points and at least 2 distinct deltas."""
+    return len(deltas) >= _MIN_FIT_POINTS and len(set(deltas)) >= 2
+
+
 def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit:
     """Fit ``offset + amplitude*sin(w*delta + phase)`` by damped Gauss-Newton.
 
@@ -108,8 +115,8 @@ def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be a sequence of (delta, fraction) pairs")
-    if pts.shape[0] < 8:
-        raise ValueError(f"need at least 8 points to fit, got {pts.shape[0]}")
+    if pts.shape[0] < _MIN_FIT_POINTS:
+        raise ValueError(f"need at least {_MIN_FIT_POINTS} points to fit, got {pts.shape[0]}")
     x = pts[:, 0]
     y = pts[:, 1]
     if np.unique(x).size < 2:
@@ -194,7 +201,7 @@ def compare_to_qm(sweep: SweepResult, nu: float) -> QmComparison:
     model_vis = visibility(fractions)
     fit = None
     fitted_period = None
-    if len(deltas) >= 8 and len(set(deltas)) >= 2:
+    if can_fit(deltas):
         fit = fit_sine(list(zip(deltas, fractions)))
         if fit.angular_frequency > 0.0:
             fitted_period = TWO_PI / fit.angular_frequency

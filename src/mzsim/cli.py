@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from .analysis import binomial_ci, compare_to_qm, fit_sine, visibility
-from .config import ConfigError, ExperimentConfig, load_config
+from .analysis import binomial_ci, can_fit, compare_to_qm, fit_sine, visibility
+from .config import ExperimentConfig, load_config
 from .experiment import (
     SweepPoint,
     SweepResult,
@@ -50,11 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("single-bs", parents=[common], help="photon stream against one splitter")
-    p.set_defaults(func=cmd_single_bs)
+    p.set_defaults(func=_run_one)
 
     p = sub.add_parser("mzi", parents=[common], help="full two-splitter run")
     p.add_argument("--delta", type=float, metavar="X", help="path-length difference override")
-    p.set_defaults(func=cmd_mzi)
+    p.set_defaults(func=_run_one)
 
     p = sub.add_parser("sweep", parents=[common], help="sweep the path-length difference")
     p.add_argument("--steps", type=int, default=50, metavar="N", help="sweep points (default 50)")
@@ -102,7 +102,9 @@ def _emit(record, args: argparse.Namespace) -> None:
         write_csv(record, args.out)
 
 
-def _run_one(args: argparse.Namespace, kind: str) -> int:
+def _run_one(args: argparse.Namespace) -> int:
+    """``single-bs`` and ``mzi``: one run, named by the subcommand."""
+    kind = args.command
     cfg = _effective_config(args)
     runner = run_single_bs if kind == "single-bs" else run_mzi
     record = runner(cfg, trace=args.trace)
@@ -115,7 +117,7 @@ def _run_one(args: argparse.Namespace, kind: str) -> int:
         "ci_hi": ci.hi,
         "confidence": ci.confidence,
     }
-    out = build_record(kind, cfg, [SweepPoint(cfg.delta, counts, frac)], analysis,
+    out = build_record(kind, cfg, [SweepPoint(cfg.delta, counts)], analysis,
                        trace=record.trace)
     _emit(out, args)
     print(
@@ -125,35 +127,18 @@ def _run_one(args: argparse.Namespace, kind: str) -> int:
     return 0
 
 
-def cmd_single_bs(args: argparse.Namespace) -> int:
-    return _run_one(args, "single-bs")
-
-
-def cmd_mzi(args: argparse.Namespace) -> int:
-    return _run_one(args, "mzi")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     if args.trace:
         print("note: --trace applies to single-bs/mzi runs; ignored for sweep", file=sys.stderr)
     deltas = default_sweep_deltas(cfg, steps=args.steps, delta_max=args.delta_max)
-    sweep = run_sweep(cfg, deltas, jobs=max(1, args.parallel))
-    fit = fit_sine(list(zip(sweep.deltas, sweep.fractions))) if len(deltas) >= 8 else None
+    sweep = run_sweep(cfg, deltas, jobs=args.parallel)
+    fit = fit_sine(list(zip(sweep.deltas, sweep.fractions))) if can_fit(deltas) else None
     vis = visibility(sweep.fractions)
     qm = compare_to_qm(sweep, cfg.particle_frequency)
     analysis = {
         "visibility": vis,
-        "fit": None
-        if fit is None
-        else {
-            "amplitude": fit.amplitude,
-            "angular_frequency": fit.angular_frequency,
-            "phase": fit.phase,
-            "offset": fit.offset,
-            "r_squared": fit.r_squared,
-            "converged": fit.converged,
-        },
+        "fit": None if fit is None else asdict(fit),
         "qm": {
             "ideal_period": qm.ideal_period,
             "fitted_period": qm.fitted_period,
@@ -178,7 +163,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     points = read_sweep_csv(args.results)
     pairs = [(p.delta, p.d1_fraction) for p in points]
     vis = visibility([f for _, f in pairs])
-    if len(points) >= 8 and len({d for d, _ in pairs}) >= 2:
+    if can_fit([d for d, _ in pairs]):
         fit = fit_sine(pairs)
         print(
             f"fit: amplitude={fit.amplitude:.6f} angular_frequency={fit.angular_frequency:.6f} "
@@ -228,10 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ safe to evaluate in parallel.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -68,7 +69,10 @@ class RunRecord:
 class SweepPoint:
     delta: float
     counts: DetectorCounts
-    d1_fraction: float
+
+    @property
+    def d1_fraction(self) -> float:
+        return self.counts.d1_fraction
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,13 @@ def _run_stream(
 ) -> tuple[int, int, list[PhotonTrace] | None]:
     """Sequential pass of a photon stream through the apparatus.
 
-    The loop below is the hot path (~1e7 interactions for a full sweep), so
-    it inlines the wrap-and-snap arithmetic of :func:`mzsim.phases.wrap_phase`
-    on plain floats instead of going through the object-level
-    :func:`mzsim.optics.interact`. The two routes are float-for-float
-    equivalent; the test suite cross-checks them.
+    At each splitter this applies :func:`mzsim.optics.interact` to the
+    photon's and the splitter's phases at the interaction time, then rebases
+    the offsets of whatever changed (``wrap(phase - nu*t)``). The loop is the
+    hot path (~1e7 interactions for a full sweep), so it inlines that rule
+    and the wrap-and-snap of :func:`mzsim.phases.wrap_phase` on plain floats;
+    a property test checks it photon for photon against an ``interact``-based
+    reference loop.
     """
     nu_p = config.particle_frequency
     base = config.base_path_length
@@ -238,15 +244,24 @@ def run_mzi(config: ExperimentConfig, trace: bool = False) -> RunRecord:
 
 
 def _sweep_point(config: ExperimentConfig) -> SweepPoint:
-    record = run_mzi(config)
-    frac = record.counts.d1 / record.counts.total
-    return SweepPoint(config.delta, record.counts, frac)
+    return SweepPoint(config.delta, run_mzi(config).counts)
 
 
 def point_config(config: ExperimentConfig, delta: float) -> ExperimentConfig:
-    """Config for one sweep point: its own delta and derived child seed."""
+    """Config for one sweep point: its own delta and derived child seed.
+
+    ``-0.0`` is the same path difference as ``0.0``, so it is normalised
+    (``x + 0.0``) before its bit pattern picks the seed.
+    """
+    delta = float(delta) + 0.0
     child = derive_child_seed(config.master_seed, _delta_bits(delta))
-    return replace(config, delta=float(delta), master_seed=child)
+    return replace(config, delta=delta, master_seed=child)
+
+
+def pool_size(jobs: int, points: int, cpus: int | None) -> int:
+    """Worker processes for a sweep: ``jobs``, but no more than there are
+    points or CPUs (``cpus`` as from :func:`os.cpu_count`), and at least 1."""
+    return max(1, min(jobs, points, cpus or 1))
 
 
 def run_sweep(
@@ -258,14 +273,16 @@ def run_sweep(
 
     Each point's seed is a pure function of (master_seed, delta), so the
     result for a given delta does not depend on its position in the list and
-    points may be evaluated in parallel (``jobs`` worker processes).
+    points may be evaluated in parallel (up to ``jobs`` worker processes,
+    see :func:`pool_size`).
     """
     if not deltas:
         raise ValueError("sweep needs at least one delta")
     config.validate()
     configs = [point_config(config, d) for d in deltas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = pool_size(jobs, len(configs), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_sweep_point, configs))
     else:
         points = [_sweep_point(c) for c in configs]

@@ -1,10 +1,11 @@
-"""Apparatus elements: photon source, beam splitters with persistent phase
-state, propagation segments, and detector counters.
+"""Apparatus elements: the photon source, the beam-splitter rule, and
+detector counters.
 
 A beam splitter here is not a probabilistic 50/50 element: it routes each
 photon deterministically by comparing the photon's instantaneous phase with
-its own, and a reflection feeds back into the splitter's oscillator, so the
-apparatus keeps a record of the photons it reflected.
+its own, and a reflection feeds back into the splitter's phase, so the
+apparatus keeps a record of the photons it reflected. :func:`interact` is
+the reference statement of that rule.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from enum import Enum
 
 import numpy as np
 
-from .phases import PhaseOscillator, phase_at, rebase_offset, signed_diff, wrap_phase
+from .phases import wrap_phase
 
 INTER_ARRIVAL_LAWS = ("exponential", "uniform", "fixed")
 
 
 class Path(Enum):
-    UNSPLIT = "unsplit"
     PATH1 = "path1"
     PATH2 = "path2"
 
@@ -29,54 +29,6 @@ class Path(Enum):
 class OutcomeKind(Enum):
     REFLECT = "reflect"
     TRANSMIT = "transmit"
-
-
-@dataclass
-class Photon:
-    """A corpuscular photon: emission time, internal oscillator, route tag."""
-
-    emitted_at: float
-    osc: PhaseOscillator
-    path: Path = Path.UNSPLIT
-
-
-@dataclass
-class BeamSplitter:
-    """Splitter whose oscillator is rewritten by every reflection.
-
-    On reflection both phases are replaced by the linear combinations
-    ``p' = alpha*p + beta*s`` and ``s' = alpha*s + beta*p`` (wrapped), where
-    p is the photon phase and s the splitter phase at the interaction time.
-    ``(alpha, beta) = (1, 0)`` makes the update the identity, which disables
-    the splitter's memory entirely.
-    """
-
-    osc: PhaseOscillator
-    update_alpha: float = 1.0
-    update_beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.update_alpha) and math.isfinite(self.update_beta)):
-            raise ValueError("update coefficients must be finite")
-
-
-@dataclass(frozen=True)
-class InteractionOutcome:
-    kind: OutcomeKind
-    particle_phase_after: float
-    splitter_phase_after: float
-    interaction_time: float
-
-
-@dataclass(frozen=True)
-class PathSegment:
-    """Propagation path of fixed length, in natural time units (speed = 1)."""
-
-    length: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.length) and self.length >= 0.0):
-            raise ValueError(f"segment length must be finite and >= 0, got {self.length!r}")
 
 
 @dataclass(frozen=True)
@@ -121,37 +73,16 @@ def generate_emissions(
     return np.cumsum(gaps).tolist()
 
 
-def decide(diff: float) -> OutcomeKind:
-    """Routing rule: reflect iff the wrapped phase difference is below pi."""
-    return OutcomeKind.REFLECT if diff < math.pi else OutcomeKind.TRANSMIT
+def interact(p: float, s: float, alpha: float, beta: float) -> tuple[bool, float, float]:
+    """One photon/splitter interaction: ``(reflected, p_new, s_new)``.
 
-
-def interact(bs: BeamSplitter, photon: Photon, t: float) -> InteractionOutcome:
-    """One instantaneous photon/splitter interaction at time ``t``.
-
-    Transmission changes nothing but the photon's route tag. Reflection
-    rewrites both oscillators (rebased at ``t``) with the splitter's update
-    coefficients and routes the photon onto path 1.
+    ``p`` and ``s`` are the photon's and the splitter's wrapped phases at the
+    interaction time. The photon reflects iff wrap(p - s) < pi; a reflection
+    replaces both phases with ``p' = wrap(alpha*p + beta*s)`` and
+    ``s' = wrap(alpha*s + beta*p)``, a transmission returns them unchanged.
+    ``(alpha, beta) = (1, 0)`` makes the update the identity, which disables
+    the splitter's memory entirely.
     """
-    if t < photon.emitted_at:
-        raise ValueError(
-            f"interaction at t={t!r} precedes emission at {photon.emitted_at!r}"
-        )
-    p = phase_at(photon.osc, t)
-    s = phase_at(bs.osc, t)
-    kind = decide(signed_diff(p, s))
-    if kind is OutcomeKind.TRANSMIT:
-        photon.path = Path.PATH2
-        return InteractionOutcome(kind, p, s, t)
-    alpha, beta = bs.update_alpha, bs.update_beta
-    p_new = wrap_phase(alpha * p + beta * s)
-    s_new = wrap_phase(alpha * s + beta * p)
-    photon.osc = rebase_offset(photon.osc, t, p_new)
-    bs.osc = rebase_offset(bs.osc, t, s_new)
-    photon.path = Path.PATH1
-    return InteractionOutcome(kind, p_new, s_new, t)
-
-
-def propagate(photon: Photon, segment: PathSegment, depart: float) -> float:
-    """Arrival time after traversing ``segment`` (the oscillator free-runs)."""
-    return depart + segment.length
+    if wrap_phase(p - s) >= math.pi:
+        return False, p, s
+    return True, wrap_phase(alpha * p + beta * s), wrap_phase(alpha * s + beta * p)

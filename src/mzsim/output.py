@@ -92,10 +92,7 @@ def record_to_dict(record: OutputRecord) -> dict:
 
 def record_from_dict(data: dict) -> OutputRecord:
     points = tuple(
-        SweepPoint(
-            p["delta"], DetectorCounts(p["d1"], p["d2"]), p["d1_fraction"]
-        )
-        for p in data["points"]
+        SweepPoint(p["delta"], DetectorCounts(p["d1"], p["d2"])) for p in data["points"]
     )
     trace = None
     if "trace" in data:
@@ -128,14 +125,6 @@ def write_json(record: OutputRecord, path: str | os.PathLike) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def read_json(path: str | os.PathLike) -> OutputRecord:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return record_from_dict(json.load(fh))
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-
-
 def write_csv(
     record: OutputRecord, path: str | os.PathLike, confidence: float = 0.95
 ) -> None:
@@ -160,7 +149,11 @@ def write_csv(
 
 
 def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
-    """Read back a results table written by :func:`write_csv`."""
+    """Read back a results table written by :func:`write_csv`.
+
+    Every row must have all six fields, a positive total count, and a
+    ``d1_fraction`` equal to ``d1/(d1+d2)``; anything else is a ValueError.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -171,8 +164,18 @@ def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
             for row in reader:
                 if not row:
                     continue
-                delta, d1, d2, frac = float(row[0]), int(row[1]), int(row[2]), float(row[3])
-                points.append(SweepPoint(delta, DetectorCounts(d1, d2), frac))
+                where = f"{path} line {reader.line_num}"
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+                d1, d2 = int(row[1]), int(row[2])
+                if d1 < 0 or d2 < 0 or d1 + d2 == 0:
+                    raise ValueError(f"{where}: counts d1={d1}, d2={d2} are not a sample")
+                point = SweepPoint(float(row[0]), DetectorCounts(d1, d2))
+                if float(row[3]) != point.d1_fraction:
+                    raise ValueError(
+                        f"{where}: d1_fraction {row[3]} is not d1/(d1+d2) = {point.d1_fraction!r}"
+                    )
+                points.append(point)
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
     if not points:

@@ -1,4 +1,4 @@
-"""Wrapped-phase arithmetic and constant-frequency oscillator evaluation.
+"""Wrapped-phase arithmetic.
 
 All angles are radians reduced into the half-open interval [0, 2*pi);
 time is in natural units (propagation speed 1 elsewhere in the package).
@@ -7,7 +7,6 @@ time is in natural units (propagation speed 1 elsewhere in the package).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,46 +23,3 @@ def wrap_phase(theta: float) -> float:
     if TWO_PI - value < WRAP_SNAP:
         return 0.0
     return value
-
-
-def signed_diff(a: float, b: float) -> float:
-    """Phase of ``a`` relative to ``b``, wrapped into [0, 2*pi).
-
-    This is the oriented difference wrap(a - b), not the circular distance;
-    the two halves [0, pi) and [pi, 2*pi) have equal measure, which is what
-    makes a threshold at pi an unbiased splitter rule.
-    """
-    return wrap_phase(a - b)
-
-
-@dataclass(frozen=True)
-class PhaseOscillator:
-    """Uniformly advancing phase ``frequency * t + offset`` (mod 2*pi).
-
-    Immutable; state changes are expressed by constructing a new oscillator
-    (see :func:`rebase_offset`).
-    """
-
-    frequency: float
-    offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.frequency) and self.frequency >= 0.0):
-            raise ValueError(
-                f"frequency must be finite and non-negative, got {self.frequency!r}"
-            )
-        object.__setattr__(self, "offset", wrap_phase(self.offset))
-
-
-def phase_at(osc: PhaseOscillator, t: float) -> float:
-    """Instantaneous phase of ``osc`` at time ``t``, in [0, 2*pi)."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    return wrap_phase(osc.frequency * t + osc.offset)
-
-
-def rebase_offset(osc: PhaseOscillator, t: float, target: float) -> PhaseOscillator:
-    """Oscillator with the same frequency whose phase at time ``t`` is ``target``."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    return PhaseOscillator(osc.frequency, wrap_phase(target - osc.frequency * t))

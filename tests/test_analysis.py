@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,10 +169,13 @@ def test_qm_reference_identity(delta, nu):
     assert value + math.sin(0.5 * nu * delta) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
-def fabricated_sweep(deltas, fractions, n=1000):
+def fabricated_sweep(deltas, fractions):
+    # d1/(d1+d2) is exactly f: a float is a ratio of integers, and int/int
+    # division rounds correctly
+    ratios = [Fraction(f) for f in fractions]
     points = tuple(
-        SweepPoint(d, DetectorCounts(int(round(f * n)), n - int(round(f * n))), f)
-        for d, f in zip(deltas, fractions)
+        SweepPoint(d, DetectorCounts(r.numerator, r.denominator - r.numerator))
+        for d, r in zip(deltas, ratios)
     )
     return SweepResult(ExperimentConfig(), points)
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mzsim.cli import main
 
 
@@ -100,6 +102,42 @@ def test_sweep_parallel_flag_matches_serial(tmp_path):
     assert run_cli(*argv, "--out", str(serial)) == 0
     assert run_cli(*argv, "--parallel", "2", "--out", str(parallel)) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_zero_span_sweep_skips_the_fit(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli("sweep", "--steps", "8", "--delta-max", "0", "--photons", "200",
+                   "--out", str(out)) == 0
+    assert "fit:" not in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert data["analysis"]["fit"] is None
+    assert data["analysis"]["qm"]["fitted_period"] is None
+    assert [p["delta"] for p in data["points"]] == [0.0] * 8
+
+
+def test_sweep_json_fit_block_has_the_fit_fields(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("sweep", "--steps", "8", "--photons", "200", "--out", str(out)) == 0
+    fit = json.loads(out.read_text())["analysis"]["fit"]
+    assert sorted(fit) == ["amplitude", "angular_frequency", "converged", "offset",
+                           "phase", "r_squared"]
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [("0.0,5,5,0.5,0", "expected 6 fields"),
+     ("0.0,5,5,0.9,0,1", "is not d1/(d1+d2)"),
+     ("0.0,0,0,0.0,0,0", "not a sample")],
+)
+@pytest.mark.parametrize("command", ["analyze", "compare-qm"])
+def test_malformed_csv_row_is_a_single_line_error(tmp_path, capsys, command, row, reason):
+    path = tmp_path / "bad.csv"
+    path.write_text("delta,d1,d2,d1_fraction,ci_lo,ci_hi\n" + row + "\n")
+    assert run_cli(command, str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and reason in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_unknown_flag_fails_with_usage(capsys):

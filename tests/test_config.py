@@ -104,6 +104,7 @@ def test_dict_round_trip():
         ({"master_seed": 2**64}, "master_seed"),
         ({"bs1": {"frequency": -1.0}}, "bs1.frequency"),
         ({"photon_count": 2.5}, "photon_count"),
+        ({"bs2": {"update_alpha": math.nan}}, "bs2"),
     ],
 )
 def test_validation_names_offending_field(patch, field):

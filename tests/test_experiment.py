@@ -3,30 +3,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mzsim.config import ConfigError, ExperimentConfig
+from mzsim.config import ConfigError, ExperimentConfig, SplitterConfig
 from mzsim.experiment import (
     PhotonTrace,
     default_sweep_deltas,
     derive_child_seed,
     diff_traces,
     point_config,
+    pool_size,
     run_mzi,
     run_single_bs,
     run_sweep,
+    _prepare_stream,
     _run_stream,
 )
-from mzsim.optics import (
-    BeamSplitter,
-    OutcomeKind,
-    Path,
-    PathSegment,
-    Photon,
-    generate_emissions,
-    interact,
-    propagate,
-)
-from mzsim.phases import TWO_PI, WRAP_SNAP, PhaseOscillator
+from mzsim.optics import OutcomeKind, Path, generate_emissions, interact
+from mzsim.phases import TWO_PI, wrap_phase
 
 
 def small_config(**overrides):
@@ -107,43 +102,66 @@ def test_mzi_rejects_invalid_config():
         run_mzi(replace(ExperimentConfig(), photon_count=0))
 
 
-def test_fast_loop_matches_object_level_pipeline():
-    """The inlined stream loop and the optics-level API must agree exactly."""
-    cfg = small_config(photon_count=1500, delta=2.4)
-    record = run_mzi(cfg, trace=True)
+def reference_stream(config, mzi):
+    """The apparatus written with :func:`interact`: ``(d1, d2, trace)``.
 
-    rng = np.random.default_rng(cfg.master_seed)
-    emissions = generate_emissions(
-        cfg.source_rate, cfg.photon_count, rng, law=cfg.inter_arrival_law
-    )
-    offsets = rng.uniform(0.0, TWO_PI, cfg.photon_count)
-    offsets[TWO_PI - offsets < WRAP_SNAP] = 0.0
+    Each splitter keeps the offset of its oscillator ``nu*t + offset``; a
+    reflection rebases the offsets of photon and splitter to the phases that
+    ``interact`` returns.
+    """
+    nu, base = config.particle_frequency, config.base_path_length
+    splitters = [config.bs1, config.bs2]
+    xi = [wrap_phase(sp.initial_offset) for sp in splitters]
+    counts = [0, 0]
+    trace = []
+    for emitted, phi in zip(*_prepare_stream(config)):
+        t = emitted + base
+        outcomes = []
+        for k, sp in enumerate(splitters[: 1 + mzi]):
+            p, s = wrap_phase(nu * t + phi), wrap_phase(sp.frequency * t + xi[k])
+            reflected, p, s = interact(p, s, sp.update_alpha, sp.update_beta)
+            if reflected:
+                phi, xi[k] = wrap_phase(p - nu * t), wrap_phase(s - sp.frequency * t)
+            outcomes.append(OutcomeKind.REFLECT if reflected else OutcomeKind.TRANSMIT)
+            t += base if reflected else base + config.delta
+        counts[outcomes[-1] is OutcomeKind.TRANSMIT] += 1
+        path = Path.PATH1 if outcomes[0] is OutcomeKind.REFLECT else Path.PATH2
+        trace.append(PhotonTrace(emitted, outcomes[0], path, outcomes[1] if mzi else None))
+    return counts[0], counts[1], trace
 
-    bs1 = BeamSplitter(
-        PhaseOscillator(cfg.bs1.frequency, cfg.bs1.initial_offset),
-        cfg.bs1.update_alpha,
-        cfg.bs1.update_beta,
-    )
-    bs2 = BeamSplitter(
-        PhaseOscillator(cfg.bs2.frequency, cfg.bs2.initial_offset),
-        cfg.bs2.update_alpha,
-        cfg.bs2.update_beta,
-    )
-    d1 = d2 = 0
-    for i, (emitted, phi) in enumerate(zip(emissions, offsets.tolist())):
-        photon = Photon(emitted, PhaseOscillator(cfg.particle_frequency, phi))
-        t1 = propagate(photon, PathSegment(cfg.base_path_length), emitted)
-        first = interact(bs1, photon, t1)
-        path = photon.path
-        length = cfg.base_path_length if path is Path.PATH1 else cfg.base_path_length + cfg.delta
-        t2 = propagate(photon, PathSegment(length), t1)
-        second = interact(bs2, photon, t2)
-        if second.kind.value == "reflect":
-            d1 += 1
-        else:
-            d2 += 1
-        assert record.trace[i] == PhotonTrace(emitted, first.kind, path, second.kind)
+
+finite = st.floats(-50.0, 50.0)
+splitters = st.builds(
+    SplitterConfig,
+    frequency=st.floats(0.0, 5.0),
+    initial_offset=finite,
+    update_alpha=st.floats(-2.0, 2.0),
+    update_beta=st.floats(-2.0, 2.0),
+)
+configs = st.builds(
+    ExperimentConfig,
+    photon_count=st.integers(1, 300),
+    source_rate=st.floats(0.5, 50.0),
+    inter_arrival_law=st.sampled_from(["exponential", "uniform", "fixed"]),
+    particle_frequency=st.floats(0.01, 5.0),
+    particle_initial_phase=st.none() | finite,
+    bs1=splitters,
+    bs2=splitters,
+    base_path_length=st.floats(0.0, 5.0),
+    delta=st.floats(0.0, 50.0),
+    master_seed=st.integers(0, 2**64 - 1),
+)
+
+
+@pytest.mark.parametrize("mzi", [True, False], ids=["mzi", "single-bs"])
+@settings(max_examples=60, deadline=None)
+@given(config=configs)
+def test_stream_loop_matches_interact_reference(mzi, config):
+    """The inlined stream loop and the interact-based reference agree exactly."""
+    record = (run_mzi if mzi else run_single_bs)(config, trace=True)
+    d1, d2, trace = reference_stream(config, mzi)
     assert (record.counts.d1, record.counts.d2) == (d1, d2)
+    assert list(record.trace) == trace
 
 
 def test_reversed_stream_changes_splitter_memory():
@@ -217,6 +235,22 @@ def test_sweep_parallel_matches_serial():
     cfg = small_config()
     deltas = [0.0, 1.0, 2.0, 3.0]
     assert run_sweep(cfg, deltas, jobs=2) == run_sweep(cfg, deltas, jobs=1)
+
+
+def test_negative_zero_delta_is_the_same_point():
+    sweep = run_sweep(small_config(), [0.0, -0.0])
+    a, b = sweep.points
+    assert a == b
+    assert math.copysign(1.0, b.delta) == 1.0  # stored as 0.0, not -0.0
+
+
+def test_pool_size_is_bounded_by_points_and_cpus():
+    assert pool_size(64, 50, 2) == 2
+    assert pool_size(8, 3, 16) == 3
+    assert pool_size(2, 50, 16) == 2
+    assert pool_size(0, 5, 4) == 1
+    assert pool_size(-3, 5, 4) == 1
+    assert pool_size(4, 5, None) == 1  # os.cpu_count() may be unknown
 
 
 def test_sweep_rejects_empty_deltas():

@@ -18,7 +18,7 @@ from mzsim.output import (
 
 def one_point_record(timestamp="2024-01-01T00:00:00+00:00"):
     counts = DetectorCounts(1, 2)
-    point = SweepPoint(1 / 3, counts, counts.d1 / counts.total)
+    point = SweepPoint(1 / 3, counts)
     return build_record("sweep", ExperimentConfig(), [point], {"visibility": 0.5},
                         timestamp=timestamp)
 
@@ -68,7 +68,7 @@ def test_json_round_trip_with_trace():
     record = build_record(
         "mzi",
         ExperimentConfig(),
-        [SweepPoint(0.0, DetectorCounts(1, 1), 0.5)],
+        [SweepPoint(0.0, DetectorCounts(1, 1))],
         None,
         trace=trace,
         timestamp="2024-01-01T00:00:00+00:00",
@@ -96,6 +96,12 @@ def test_read_rejects_empty_table(tmp_path):
     path.write_text(",".join(CSV_COLUMNS) + "\n")
     with pytest.raises(ValueError):
         read_sweep_csv(path)
+
+
+def test_sweep_point_fraction_is_derived_from_counts():
+    point = SweepPoint(0.5, DetectorCounts(3, 7))
+    assert point.d1_fraction == 0.3
+    assert record_to_dict(one_point_record())["points"][0]["d1_fraction"] == 1 / 3
 
 
 def test_write_error_carries_path_context(tmp_path):

@@ -5,19 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mzsim.phases import (
-    TWO_PI,
-    PhaseOscillator,
-    phase_at,
-    rebase_offset,
-    signed_diff,
-    wrap_phase,
-)
+from mzsim.phases import TWO_PI, wrap_phase
 
 
 def circular_close(a, b, tol=1e-9):
     d = abs(a - b)
     return min(d, TWO_PI - d) <= tol
+
+
+# The two oscillator formulas the stream loop applies inline at every splitter.
+
+
+def phase_at(nu, offset, t):
+    """Phase of an oscillator ``nu*t + offset`` at time ``t``."""
+    return wrap_phase(nu * t + offset)
+
+
+def rebase(nu, t, target):
+    """Offset that gives the phase ``target`` at time ``t``."""
+    return wrap_phase(target - nu * t)
 
 
 def test_wrap_identity_cases():
@@ -47,63 +53,36 @@ def test_wrap_is_periodic_in_full_turns(theta, k):
     assert circular_close(value, wrap_phase(theta), tol=1e-9)
 
 
-def test_signed_diff_cases():
-    assert signed_diff(math.pi, 0.0) == pytest.approx(math.pi, abs=1e-15)
-    assert signed_diff(0.0, math.pi / 2) == pytest.approx(1.5 * math.pi, abs=1e-12)
-    assert signed_diff(1.0, 1.0) == 0.0
-
-
-@given(a=st.floats(0.0, TWO_PI, exclude_max=True), b=st.floats(0.0, TWO_PI, exclude_max=True))
-def test_signed_diff_pair_sums_to_full_turn_or_zero(a, b):
-    total = signed_diff(a, b) + signed_diff(b, a)
-    assert min(abs(total), abs(total - TWO_PI)) <= 1e-12
-
-
 def test_phase_at_cases():
-    assert phase_at(PhaseOscillator(0.0, 1.2), 5.0) == pytest.approx(1.2, abs=1e-15)
-    assert phase_at(PhaseOscillator(1.0, 0.0), math.pi) == pytest.approx(math.pi, abs=1e-15)
+    assert phase_at(0.0, 1.2, 5.0) == pytest.approx(1.2, abs=1e-15)
+    assert phase_at(1.0, 0.0, math.pi) == pytest.approx(math.pi, abs=1e-15)
     # 2*(pi/2) + pi is exactly a full turn
-    assert phase_at(PhaseOscillator(2.0, math.pi), math.pi / 2) == 0.0
+    assert phase_at(2.0, math.pi, math.pi / 2) == 0.0
 
 
 def test_phase_at_rejects_non_finite_time():
     with pytest.raises(ValueError):
-        phase_at(PhaseOscillator(1.0, 0.0), math.inf)
-
-
-def test_oscillator_rejects_bad_frequency():
-    with pytest.raises(ValueError):
-        PhaseOscillator(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        PhaseOscillator(math.nan, 0.0)
-
-
-def test_oscillator_wraps_offset_on_construction():
-    assert PhaseOscillator(1.0, TWO_PI + 0.25).offset == pytest.approx(0.25, abs=1e-12)
+        phase_at(1.0, 0.0, math.inf)
 
 
 @given(nu=st.floats(0.1, 10.0), t=st.floats(0.0, 100.0), phi=st.floats(0.0, TWO_PI, exclude_max=True))
 def test_phase_at_is_periodic_in_time(nu, t, phi):
-    osc = PhaseOscillator(nu, phi)
-    assert circular_close(phase_at(osc, t), phase_at(osc, t + TWO_PI / nu), tol=1e-9)
+    assert circular_close(phase_at(nu, phi, t), phase_at(nu, phi, t + TWO_PI / nu), tol=1e-9)
 
 
 def test_rebase_zero_frequency_sets_offset_to_target():
-    osc = PhaseOscillator(0.0, 2.5)
-    assert rebase_offset(osc, 3.0, 1.0).offset == 1.0
+    assert rebase(0.0, 3.0, 1.0) == 1.0
 
 
 def test_rebase_example_forced_by_definition():
-    rebased = rebase_offset(PhaseOscillator(1.0, 0.0), math.pi, 0.0)
-    assert rebased.offset == pytest.approx(math.pi, abs=1e-12)
-    assert phase_at(rebased, math.pi) == pytest.approx(0.0, abs=1e-12)
+    offset = rebase(1.0, math.pi, 0.0)
+    assert offset == pytest.approx(math.pi, abs=1e-12)
+    assert phase_at(1.0, offset, math.pi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rebase_round_trip_is_identity():
-    osc = PhaseOscillator(2.3, 0.7)
-    again = rebase_offset(osc, 4.2, phase_at(osc, 4.2))
-    assert again.frequency == osc.frequency
-    assert circular_close(again.offset, osc.offset, tol=1e-12)
+    nu, offset, t = 2.3, 0.7, 4.2
+    assert circular_close(rebase(nu, t, phase_at(nu, offset, t)), offset, tol=1e-12)
 
 
 def test_rebase_postcondition_over_random_triples():
@@ -112,6 +91,5 @@ def test_rebase_postcondition_over_random_triples():
         nu = float(rng.uniform(0.0, 10.0))
         t = float(rng.uniform(0.0, 100.0))
         target = float(rng.uniform(0.0, TWO_PI))
-        osc = PhaseOscillator(nu, float(rng.uniform(0.0, TWO_PI)))
-        achieved = phase_at(rebase_offset(osc, t, target), t)
+        achieved = phase_at(nu, rebase(nu, t, target), t)
         assert circular_close(achieved, wrap_phase(target), tol=1e-9)
