@@ -69,9 +69,6 @@ class SineFit:
     r_squared: float
     converged: bool = True
 
-    def value_at(self, x: float) -> float:
-        return self.offset + self.amplitude * math.sin(self.angular_frequency * x + self.phase)
-
 
 def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Pick the best frequency from a fixed grid by linear projection.

@@ -25,22 +25,20 @@ from .output import build_record, read_sweep_csv, write_csv, write_json
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--seed", type=int, metavar="U64", help="master seed override")
-    common.add_argument("--photons", type=int, metavar="N", help="photon count override")
-    common.add_argument("--out", metavar="PATH", help="write results to this file")
-    common.add_argument(
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", help="JSON config file")
+    run = argparse.ArgumentParser(add_help=False, parents=[config])
+    run.add_argument("--seed", type=int, metavar="U64", help="master seed override")
+    run.add_argument("--photons", type=int, metavar="N", help="photon count override")
+    run.add_argument("--out", metavar="PATH", help="write results to this file")
+    run.add_argument(
         "--format", choices=("csv", "json"), default=None,
         help="output format (default: by --out suffix, else csv)",
     )
-    common.add_argument(
+    single = argparse.ArgumentParser(add_help=False, parents=[run])
+    single.add_argument(
         "--trace", action="store_true",
-        help="keep per-photon records (JSON output of single runs)",
-    )
-    common.add_argument(
-        "--parallel", type=int, default=1, metavar="K",
-        help="worker processes for sweep points",
+        help="keep per-photon records (JSON output only)",
     )
 
     parser = argparse.ArgumentParser(
@@ -49,14 +47,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("single-bs", parents=[common], help="photon stream against one splitter")
+    p = sub.add_parser("single-bs", parents=[single], help="photon stream against one splitter")
     p.set_defaults(func=_run_one)
 
-    p = sub.add_parser("mzi", parents=[common], help="full two-splitter run")
+    p = sub.add_parser("mzi", parents=[single], help="full two-splitter run")
     p.add_argument("--delta", type=float, metavar="X", help="path-length difference override")
     p.set_defaults(func=_run_one)
 
-    p = sub.add_parser("sweep", parents=[common], help="sweep the path-length difference")
+    p = sub.add_parser("sweep", parents=[run], help="sweep the path-length difference")
+    p.add_argument(
+        "--parallel", type=int, default=1, metavar="K",
+        help="worker processes for sweep points",
+    )
     p.add_argument("--steps", type=int, default=50, metavar="N", help="sweep points (default 50)")
     p.add_argument(
         "--delta-max", type=float, default=None, metavar="X",
@@ -64,11 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("analyze", parents=[common], help="fit and summarize a results CSV")
+    p = sub.add_parser("analyze", help="fit and summarize a results CSV")
     p.add_argument("results", metavar="RESULTS", help="CSV written by a previous run")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("compare-qm", parents=[common], help="compare a results CSV to the ideal curve")
+    p = sub.add_parser("compare-qm", parents=[config], help="compare a results CSV to the ideal curve")
     p.add_argument("results", metavar="RESULTS", help="CSV written by a previous run")
     p.set_defaults(func=cmd_compare_qm)
 
@@ -78,13 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.photons is not None:
-        overrides["photon_count"] = args.photons
-    delta = getattr(args, "delta", None)
-    if delta is not None:
-        overrides["delta"] = delta
+    for flag, key in (("seed", "master_seed"), ("photons", "photon_count"), ("delta", "delta")):
+        value = getattr(args, flag, None)  # not every subcommand has every flag
+        if value is not None:
+            overrides[key] = value
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg.validate()
@@ -129,8 +128,6 @@ def _run_one(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
-    if args.trace:
-        print("note: --trace applies to single-bs/mzi runs; ignored for sweep", file=sys.stderr)
     deltas = default_sweep_deltas(cfg, steps=args.steps, delta_max=args.delta_max)
     sweep = run_sweep(cfg, deltas, jobs=args.parallel)
     fit = fit_sine(list(zip(sweep.deltas, sweep.fractions))) if can_fit(deltas) else None

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -23,6 +24,19 @@ MAX_SEED = 2**64 - 1
 
 class ConfigError(ValueError):
     """Unreadable, unparseable, or invalid experiment configuration."""
+
+
+def _finite(value: object) -> bool:
+    """A finite real number; JSON ``true``/``false``, strings and null are not."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -53,22 +67,22 @@ class ExperimentConfig:
     master_seed: int = 42
 
     def validate(self) -> "ExperimentConfig":
-        if not isinstance(self.photon_count, int) or self.photon_count < 1:
+        if not _integer(self.photon_count) or self.photon_count < 1:
             raise ConfigError(
                 f"photon_count must be an integer >= 1, got {self.photon_count!r}"
             )
-        if not (math.isfinite(self.source_rate) and self.source_rate > 0.0):
+        if not (_finite(self.source_rate) and self.source_rate > 0.0):
             raise ConfigError(f"source_rate must be finite and > 0, got {self.source_rate!r}")
         if self.inter_arrival_law not in INTER_ARRIVAL_LAWS:
             raise ConfigError(
                 f"inter_arrival_law must be one of {INTER_ARRIVAL_LAWS}, "
                 f"got {self.inter_arrival_law!r}"
             )
-        if not (math.isfinite(self.particle_frequency) and self.particle_frequency > 0.0):
+        if not (_finite(self.particle_frequency) and self.particle_frequency > 0.0):
             raise ConfigError(
                 f"particle_frequency must be finite and > 0, got {self.particle_frequency!r}"
             )
-        if self.particle_initial_phase is not None and not math.isfinite(
+        if self.particle_initial_phase is not None and not _finite(
             self.particle_initial_phase
         ):
             raise ConfigError(
@@ -76,19 +90,19 @@ class ExperimentConfig:
                 f"got {self.particle_initial_phase!r}"
             )
         for name, sp in (("bs1", self.bs1), ("bs2", self.bs2)):
-            if not (math.isfinite(sp.frequency) and sp.frequency >= 0.0):
+            if not (_finite(sp.frequency) and sp.frequency >= 0.0):
                 raise ConfigError(f"{name}.frequency must be finite and >= 0, got {sp.frequency!r}")
-            if not math.isfinite(sp.initial_offset):
+            if not _finite(sp.initial_offset):
                 raise ConfigError(f"{name}.initial_offset must be finite, got {sp.initial_offset!r}")
-            if not (math.isfinite(sp.update_alpha) and math.isfinite(sp.update_beta)):
+            if not (_finite(sp.update_alpha) and _finite(sp.update_beta)):
                 raise ConfigError(f"{name} update coefficients must be finite")
-        if not (math.isfinite(self.base_path_length) and self.base_path_length >= 0.0):
+        if not (_finite(self.base_path_length) and self.base_path_length >= 0.0):
             raise ConfigError(
                 f"base_path_length must be finite and >= 0, got {self.base_path_length!r}"
             )
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+        if not (_finite(self.delta) and self.delta >= 0.0):
             raise ConfigError(f"delta must be finite and >= 0, got {self.delta!r}")
-        if not isinstance(self.master_seed, int) or not (0 <= self.master_seed <= MAX_SEED):
+        if not _integer(self.master_seed) or not (0 <= self.master_seed <= MAX_SEED):
             raise ConfigError(
                 f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}"
             )
@@ -135,9 +149,3 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)
-
-
-def save_config(config: ExperimentConfig, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .optics import DetectorCounts, OutcomeKind, Path, generate_emissions
+from .optics import DetectorCounts, generate_emissions
 from .phases import TWO_PI, WRAP_SNAP, wrap_phase
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -48,21 +48,16 @@ def _delta_bits(delta: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(delta)))[0]
 
 
-@dataclass(frozen=True)
-class PhotonTrace:
-    """Per-photon record: emission time and the outcome at each splitter."""
-
-    emitted_at: float
-    first: OutcomeKind
-    path: Path
-    second: OutcomeKind | None
+# One photon's outcome: (emitted_at, reflected_at_bs1, reflected_at_bs2).
+# The BS2 field is None in single-bs runs; a BS1 reflection means path 1.
+Outcome = tuple[float, bool, bool | None]
 
 
 @dataclass(frozen=True)
 class RunRecord:
     config: ExperimentConfig
     counts: DetectorCounts
-    trace: tuple[PhotonTrace, ...] | None = None
+    trace: tuple[Outcome, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ def _run_stream(
     *,
     mzi: bool,
     want_trace: bool,
-) -> tuple[int, int, list[PhotonTrace] | None]:
+) -> tuple[int, int, list[Outcome] | None]:
     """Sequential pass of a photon stream through the apparatus.
 
     At each splitter this applies :func:`mzsim.optics.interact` to the
@@ -130,14 +125,10 @@ def _run_stream(
     two_pi = TWO_PI
     pi = math.pi
     snap = WRAP_SNAP
-    reflect = OutcomeKind.REFLECT
-    transmit = OutcomeKind.TRANSMIT
-    path1 = Path.PATH1
-    path2 = Path.PATH2
 
     d1 = 0
     d2 = 0
-    trace: list[PhotonTrace] | None = [] if want_trace else None
+    trace: list[Outcome] | None = [] if want_trace else None
 
     for i in range(len(emissions)):
         t1 = emissions[i] + base
@@ -151,7 +142,7 @@ def _run_stream(
         if two_pi - diff < snap:
             diff = 0.0
         if diff < pi:
-            first = reflect
+            first = True
             p_new = (a1 * p + b1 * s) % two_pi
             if two_pi - p_new < snap:
                 p_new = 0.0
@@ -165,20 +156,18 @@ def _run_stream(
             if two_pi - xi1 < snap:
                 xi1 = 0.0
             seg = base
-            path = path1
         else:
-            first = transmit
+            first = False
             phi = phase_offsets[i]
             seg = base + delta
-            path = path2
 
         if not mzi:
-            if first is reflect:
+            if first:
                 d1 += 1
             else:
                 d2 += 1
             if want_trace:
-                trace.append(PhotonTrace(emissions[i], first, path, None))
+                trace.append((emissions[i], first, None))
             continue
 
         t2 = t1 + seg
@@ -192,7 +181,7 @@ def _run_stream(
         if two_pi - diff2 < snap:
             diff2 = 0.0
         if diff2 < pi:
-            second = reflect
+            second = True
             d1 += 1
             s2_new = (a2 * s2 + b2 * p2) % two_pi
             if two_pi - s2_new < snap:
@@ -201,10 +190,10 @@ def _run_stream(
             if two_pi - xi2 < snap:
                 xi2 = 0.0
         else:
-            second = transmit
+            second = False
             d2 += 1
         if want_trace:
-            trace.append(PhotonTrace(emissions[i], first, path, second))
+            trace.append((emissions[i], first, second))
 
     return d1, d2, trace
 
@@ -304,14 +293,3 @@ def default_sweep_deltas(
     if steps == 1:
         return [0.0]
     return np.linspace(0.0, delta_max, steps).tolist()
-
-
-def diff_traces(
-    a: tuple[PhotonTrace, ...] | list[PhotonTrace],
-    b: tuple[PhotonTrace, ...] | list[PhotonTrace],
-) -> list[int]:
-    """Indices where two per-photon traces disagree (including length excess)."""
-    shorter = min(len(a), len(b))
-    out = [i for i in range(shorter) if a[i] != b[i]]
-    out.extend(range(shorter, max(len(a), len(b))))
-    return out

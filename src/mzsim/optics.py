@@ -12,23 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .phases import wrap_phase
 
 INTER_ARRIVAL_LAWS = ("exponential", "uniform", "fixed")
-
-
-class Path(Enum):
-    PATH1 = "path1"
-    PATH2 = "path2"
-
-
-class OutcomeKind(Enum):
-    REFLECT = "reflect"
-    TRANSMIT = "transmit"
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import binomial_ci
-from .config import ExperimentConfig, config_from_dict, config_to_dict
-from .experiment import PhotonTrace, SweepPoint
-from .optics import DetectorCounts, OutcomeKind, Path
+from .config import ExperimentConfig, config_to_dict
+from .experiment import Outcome, SweepPoint
+from .optics import DetectorCounts
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("delta", "d1", "d2", "d1_fraction", "ci_lo", "ci_hi")
@@ -36,7 +36,7 @@ class OutputRecord:
     points: tuple[SweepPoint, ...]
     analysis: dict | None
     provenance: dict
-    trace: tuple[PhotonTrace, ...] | None = None
+    trace: tuple[Outcome, ...] | None = None
 
 
 def build_record(
@@ -44,7 +44,7 @@ def build_record(
     config: ExperimentConfig,
     points: list[SweepPoint] | tuple[SweepPoint, ...],
     analysis: dict | None = None,
-    trace: tuple[PhotonTrace, ...] | None = None,
+    trace: tuple[Outcome, ...] | None = None,
     timestamp: str | None = None,
 ) -> OutputRecord:
     if timestamp is None:
@@ -61,6 +61,10 @@ def build_record(
 
 
 def record_to_dict(record: OutputRecord) -> dict:
+    """The JSON form of a record. A trace row is
+    ``[emitted_at, "reflect"|"transmit", "path1"|"path2", "reflect"|"transmit"|null]``:
+    the BS1 outcome, the path it implies, and the BS2 outcome (null for
+    single-bs runs)."""
     data = {
         "schema_version": record.schema_version,
         "kind": record.kind,
@@ -80,40 +84,14 @@ def record_to_dict(record: OutputRecord) -> dict:
     if record.trace is not None:
         data["trace"] = [
             [
-                t.emitted_at,
-                t.first.value,
-                t.path.value,
-                None if t.second is None else t.second.value,
+                t,
+                "reflect" if first else "transmit",
+                "path1" if first else "path2",
+                None if second is None else "reflect" if second else "transmit",
             ]
-            for t in record.trace
+            for t, first, second in record.trace
         ]
     return data
-
-
-def record_from_dict(data: dict) -> OutputRecord:
-    points = tuple(
-        SweepPoint(p["delta"], DetectorCounts(p["d1"], p["d2"])) for p in data["points"]
-    )
-    trace = None
-    if "trace" in data:
-        trace = tuple(
-            PhotonTrace(
-                row[0],
-                OutcomeKind(row[1]),
-                Path(row[2]),
-                None if row[3] is None else OutcomeKind(row[3]),
-            )
-            for row in data["trace"]
-        )
-    return OutputRecord(
-        data["schema_version"],
-        data["kind"],
-        config_from_dict(data["config"]),
-        points,
-        data["analysis"],
-        data["provenance"],
-        trace,
-    )
 
 
 def write_json(record: OutputRecord, path: str | os.PathLike) -> None:

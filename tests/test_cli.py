@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -95,6 +96,25 @@ def test_trace_lands_in_json_output(tmp_path):
     assert len(data["trace"]) == 250
 
 
+# sha256 of the compact JSON of the trace rows for 2000 photons at seed 42.
+# Rows are [emitted_at, bs1, path, bs2|null]; any change to the stream loop's
+# arithmetic or to the spelling of a row moves these.
+TRACE_SHA256 = {
+    "mzi": "7eb1e742b2c0f7aea6cf21dca56c41cbc7ce8bb7f784ca97461dc6e3780e0d9d",
+    "single-bs": "e02ddfc6f8548d5313992cfb7068ae2d526789a2a1124a42e3ad6adec9210fe7",
+}
+
+
+@pytest.mark.parametrize("command, extra", [("mzi", ["--delta", "1.5"]), ("single-bs", [])])
+def test_trace_json_rows_are_pinned(tmp_path, command, extra):
+    out = tmp_path / "r.json"
+    assert run_cli(command, "--trace", "--photons", "2000", "--seed", "42",
+                   "--format", "json", "--out", str(out), *extra) == 0
+    trace = json.loads(out.read_text())["trace"]
+    digest = hashlib.sha256(json.dumps(trace, separators=(",", ":")).encode()).hexdigest()
+    assert digest == TRACE_SHA256[command]
+
+
 def test_sweep_parallel_flag_matches_serial(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
@@ -145,6 +165,18 @@ def test_unknown_flag_fails_with_usage(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--out", "x.csv", "RESULTS"],
+     ["compare-qm", "--photons", "3", "RESULTS"],
+     ["sweep", "--trace"],
+     ["mzi", "--parallel", "2"]],
+)
+def test_flag_of_another_subcommand_fails_with_usage(capsys, argv):
+    assert run_cli(*argv) == 2
+    assert "usage" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_fails_with_usage(capsys):
     assert run_cli("frobnicate") == 2
     assert "usage" in capsys.readouterr().err
@@ -155,6 +187,15 @@ def test_missing_config_file_is_a_single_line_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_wrong_json_type_in_config_is_a_single_line_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"source_rate": "20"}))
+    assert run_cli("mzi", "--config", str(cfg_path), "--photons", "10") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "source_rate" in err
     assert len(err.strip().splitlines()) == 1
 
 

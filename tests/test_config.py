@@ -11,7 +11,6 @@ from mzsim.config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    save_config,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -68,8 +67,8 @@ def test_parse_failure_error(tmp_path):
         load_config(path)
 
 
-def test_round_trip_preserves_config(tmp_path):
-    cfg = ExperimentConfig(
+def test_dict_round_trip():
+    non_default = ExperimentConfig(
         photon_count=1234,
         source_rate=3.5,
         inter_arrival_law="uniform",
@@ -81,14 +80,8 @@ def test_round_trip_preserves_config(tmp_path):
         delta=0.75,
         master_seed=987654321,
     )
-    path = tmp_path / "cfg.json"
-    save_config(cfg, path)
-    assert load_config(path) == cfg
-
-
-def test_dict_round_trip():
-    cfg = ExperimentConfig()
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+    for cfg in (ExperimentConfig(), non_default):
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 @pytest.mark.parametrize(
@@ -105,6 +98,10 @@ def test_dict_round_trip():
         ({"bs1": {"frequency": -1.0}}, "bs1.frequency"),
         ({"photon_count": 2.5}, "photon_count"),
         ({"bs2": {"update_alpha": math.nan}}, "bs2"),
+        ({"source_rate": "20"}, "source_rate"),
+        ({"bs1": {"frequency": None}}, "bs1.frequency"),
+        ({"photon_count": True}, "photon_count"),
+        ({"master_seed": True}, "master_seed"),
     ],
 )
 def test_validation_names_offending_field(patch, field):

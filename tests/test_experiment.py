@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from mzsim.config import ConfigError, ExperimentConfig, SplitterConfig
 from mzsim.experiment import (
-    PhotonTrace,
     default_sweep_deltas,
     derive_child_seed,
-    diff_traces,
     point_config,
     pool_size,
     run_mzi,
@@ -20,7 +18,7 @@ from mzsim.experiment import (
     _prepare_stream,
     _run_stream,
 )
-from mzsim.optics import OutcomeKind, Path, generate_emissions, interact
+from mzsim.optics import generate_emissions, interact
 from mzsim.phases import TWO_PI, wrap_phase
 
 
@@ -93,7 +91,7 @@ def test_mzi_trace_periodic_in_delta():
     period = TWO_PI / cfg.particle_frequency
     a = run_mzi(cfg, trace=True)
     b = run_mzi(replace(cfg, delta=0.8 + period), trace=True)
-    assert diff_traces(a.trace, b.trace) == []
+    assert a.trace == b.trace
     assert a.counts == b.counts
 
 
@@ -103,7 +101,8 @@ def test_mzi_rejects_invalid_config():
 
 
 def reference_stream(config, mzi):
-    """The apparatus written with :func:`interact`: ``(d1, d2, trace)``.
+    """The apparatus written with :func:`interact`: ``(d1, d2, trace)``,
+    with trace rows ``(emitted_at, reflected_at_bs1, reflected_at_bs2|None)``.
 
     Each splitter keeps the offset of its oscillator ``nu*t + offset``; a
     reflection rebases the offsets of photon and splitter to the phases that
@@ -122,11 +121,10 @@ def reference_stream(config, mzi):
             reflected, p, s = interact(p, s, sp.update_alpha, sp.update_beta)
             if reflected:
                 phi, xi[k] = wrap_phase(p - nu * t), wrap_phase(s - sp.frequency * t)
-            outcomes.append(OutcomeKind.REFLECT if reflected else OutcomeKind.TRANSMIT)
+            outcomes.append(reflected)
             t += base if reflected else base + config.delta
-        counts[outcomes[-1] is OutcomeKind.TRANSMIT] += 1
-        path = Path.PATH1 if outcomes[0] is OutcomeKind.REFLECT else Path.PATH2
-        trace.append(PhotonTrace(emitted, outcomes[0], path, outcomes[1] if mzi else None))
+        counts[not outcomes[-1]] += 1
+        trace.append((emitted, outcomes[0], outcomes[1] if mzi else None))
     return counts[0], counts[1], trace
 
 
@@ -177,7 +175,7 @@ def test_reversed_stream_changes_splitter_memory():
     _, _, backward = _run_stream(
         emissions[::-1], offsets[::-1], cfg, mzi=True, want_trace=True
     )
-    assert diff_traces(forward, backward[::-1]) != []
+    assert forward != backward[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +277,3 @@ def test_default_sweep_deltas_bad_args():
         default_sweep_deltas(cfg, steps=0)
     with pytest.raises(ValueError):
         default_sweep_deltas(cfg, delta_max=-1.0)
-
-
-def test_diff_traces_reports_length_mismatch():
-    t = PhotonTrace(0.0, OutcomeKind.REFLECT, Path.PATH1, None)
-    assert diff_traces([t], []) == [0]
-    assert diff_traces([t], [t]) == []
