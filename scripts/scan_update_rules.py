@@ -35,9 +35,10 @@ from mzsim.experiment import default_sweep_deltas, run_sweep
 
 def measure(cfg, steps, photons):
     cfg = replace(cfg, photon_count=photons)
-    sweep = run_sweep(cfg, default_sweep_deltas(cfg, steps=steps))
-    fit = fit_sine(list(zip(sweep.deltas, sweep.fractions)))
-    return visibility(sweep.fractions), fit.angular_frequency, fit.r_squared
+    deltas = default_sweep_deltas(cfg, steps=steps)
+    fractions = [p.d1_fraction for p in run_sweep(cfg, deltas)]
+    fit = fit_sine(list(zip(deltas, fractions)))
+    return visibility(fractions), fit.angular_frequency, fit.r_squared
 
 
 def main() -> int:

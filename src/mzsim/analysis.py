@@ -7,14 +7,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .phases import TWO_PI, wrap_phase
-
-if TYPE_CHECKING:
-    from .experiment import SweepResult
 
 _FREQ_SCAN_POINTS = 512
 _MIN_FIT_POINTS = 8
@@ -22,18 +18,10 @@ _GN_MAX_ITER = 100
 _GN_MAX_HALVINGS = 25
 
 
-@dataclass(frozen=True)
-class IntervalEstimate:
-    point: float
-    lo: float
-    hi: float
-    confidence: float
-
-
-def binomial_ci(successes: int, trials: int, confidence: float = 0.95) -> IntervalEstimate:
-    """Normal-approximation confidence interval for a binomial proportion.
-
-    ``point +- z * sqrt(p*(1-p)/n)``, clamped to [0, 1].
+def binomial_ci(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
+    """Normal-approximation confidence interval ``(lo, hi)`` for a binomial
+    proportion: ``p +- z * sqrt(p*(1-p)/n)`` with ``p = successes/trials``,
+    clamped to [0, 1].
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -44,7 +32,7 @@ def binomial_ci(successes: int, trials: int, confidence: float = 0.95) -> Interv
     p = successes / trials
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     half = z * math.sqrt(p * (1.0 - p) / trials)
-    return IntervalEstimate(p, max(0.0, p - half), min(1.0, p + half), confidence)
+    return max(0.0, p - half), min(1.0, p + half)
 
 
 def visibility(fractions: list[float]) -> float:
@@ -178,36 +166,21 @@ class QmComparison:
 
     residuals: tuple[float, ...]
     model_visibility: float
-    ideal_visibility: float
-    visibility_gap: float
-    fit: SineFit | None
     fitted_period: float | None
     ideal_period: float
 
 
-def compare_to_qm(sweep: SweepResult, nu: float) -> QmComparison:
-    """Compare a :class:`~mzsim.experiment.SweepResult` against the ideal curve.
+def compare_to_qm(deltas: list[float], fractions: list[float], nu: float) -> QmComparison:
+    """Compare a sweep's D1 fractions against the ideal curve.
 
     Residuals are fraction - cos^2(nu*delta/2) per point. When the sweep has
     enough points the fitted fringe period is reported next to the ideal
     2*pi/nu.
     """
-    deltas = sweep.deltas
-    fractions = sweep.fractions
     residuals = tuple(f - qm_reference(d, nu) for d, f in zip(deltas, fractions))
-    model_vis = visibility(fractions)
-    fit = None
     fitted_period = None
     if can_fit(deltas):
         fit = fit_sine(list(zip(deltas, fractions)))
         if fit.angular_frequency > 0.0:
             fitted_period = TWO_PI / fit.angular_frequency
-    return QmComparison(
-        residuals=residuals,
-        model_visibility=model_vis,
-        ideal_visibility=1.0,
-        visibility_gap=1.0 - model_vis,
-        fit=fit,
-        fitted_period=fitted_period,
-        ideal_period=TWO_PI / nu,
-    )
+    return QmComparison(residuals, visibility(fractions), fitted_period, TWO_PI / nu)

@@ -11,16 +11,9 @@ import argparse
 import sys
 from dataclasses import asdict, replace
 
-from .analysis import binomial_ci, can_fit, compare_to_qm, fit_sine, visibility
+from .analysis import SineFit, binomial_ci, can_fit, compare_to_qm, fit_sine, visibility
 from .config import ExperimentConfig, load_config
-from .experiment import (
-    SweepPoint,
-    SweepResult,
-    default_sweep_deltas,
-    run_mzi,
-    run_single_bs,
-    run_sweep,
-)
+from .experiment import SweepPoint, default_sweep_deltas, run_mzi, run_single_bs, run_sweep
 from .output import build_record, read_sweep_csv, write_csv, write_json
 
 
@@ -89,9 +82,7 @@ def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg.validate()
 
 
-def _emit(record, args: argparse.Namespace) -> None:
-    if not args.out:
-        return
+def _emit(record: dict, args: argparse.Namespace) -> None:
     fmt = args.format
     if fmt is None:
         fmt = "json" if str(args.out).endswith(".json") else "csv"
@@ -101,27 +92,31 @@ def _emit(record, args: argparse.Namespace) -> None:
         write_csv(record, args.out)
 
 
+def _print_fit(fit: SineFit, digits: int) -> None:
+    print(
+        f"fit: amplitude={fit.amplitude:.{digits}f} "
+        f"angular_frequency={fit.angular_frequency:.{digits}f} "
+        f"phase={fit.phase:.{digits}f} offset={fit.offset:.{digits}f} "
+        f"r_squared={fit.r_squared:.{digits}f} converged={fit.converged}"
+    )
+
+
 def _run_one(args: argparse.Namespace) -> int:
     """``single-bs`` and ``mzi``: one run, named by the subcommand."""
     kind = args.command
     cfg = _effective_config(args)
     runner = run_single_bs if kind == "single-bs" else run_mzi
-    record = runner(cfg, trace=args.trace)
-    counts = record.counts
+    counts, trace = runner(cfg, trace=args.trace)
     frac = counts.d1_fraction
-    ci = binomial_ci(counts.d1, counts.total)
-    analysis = {
-        "d1_fraction": frac,
-        "ci_lo": ci.lo,
-        "ci_hi": ci.hi,
-        "confidence": ci.confidence,
-    }
-    out = build_record(kind, cfg, [SweepPoint(cfg.delta, counts)], analysis,
-                       trace=record.trace)
-    _emit(out, args)
+    confidence = 0.95
+    lo, hi = binomial_ci(counts.d1, counts.total, confidence)
+    if args.out:
+        analysis = {"d1_fraction": frac, "ci_lo": lo, "ci_hi": hi, "confidence": confidence}
+        points = [SweepPoint(cfg.delta, counts)]
+        _emit(build_record(kind, cfg, points, analysis, trace=trace), args)
     print(
         f"{kind}: photons={counts.total} d1={counts.d1} d2={counts.d2} "
-        f"d1_fraction={frac:.6f} ci95=[{ci.lo:.6f}, {ci.hi:.6f}]"
+        f"d1_fraction={frac:.6f} ci95=[{lo:.6f}, {hi:.6f}]"
     )
     return 0
 
@@ -129,67 +124,61 @@ def _run_one(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     deltas = default_sweep_deltas(cfg, steps=args.steps, delta_max=args.delta_max)
-    sweep = run_sweep(cfg, deltas, jobs=args.parallel)
-    fit = fit_sine(list(zip(sweep.deltas, sweep.fractions))) if can_fit(deltas) else None
-    vis = visibility(sweep.fractions)
-    qm = compare_to_qm(sweep, cfg.particle_frequency)
-    analysis = {
-        "visibility": vis,
-        "fit": None if fit is None else asdict(fit),
-        "qm": {
-            "ideal_period": qm.ideal_period,
-            "fitted_period": qm.fitted_period,
-            "model_visibility": qm.model_visibility,
-            "visibility_gap": qm.visibility_gap,
-            "max_abs_residual": max(abs(r) for r in qm.residuals),
-        },
-    }
-    record = build_record("sweep", cfg, sweep.points, analysis)
-    _emit(record, args)
-    print(f"sweep: {len(deltas)} points, photons/point={cfg.photon_count}, visibility={vis:.4f}")
+    points = run_sweep(cfg, deltas, jobs=args.parallel)
+    fractions = [p.d1_fraction for p in points]
+    fit = fit_sine(list(zip(deltas, fractions))) if can_fit(deltas) else None
+    qm = compare_to_qm(deltas, fractions, cfg.particle_frequency)
+    if args.out:
+        analysis = {
+            "visibility": qm.model_visibility,
+            "fit": None if fit is None else asdict(fit),
+            "qm": {
+                "ideal_period": qm.ideal_period,
+                "fitted_period": qm.fitted_period,
+                "model_visibility": qm.model_visibility,
+                "visibility_gap": 1.0 - qm.model_visibility,
+                "max_abs_residual": max(abs(r) for r in qm.residuals),
+            },
+        }
+        _emit(build_record("sweep", cfg, points, analysis), args)
+    print(
+        f"sweep: {len(deltas)} points, photons/point={cfg.photon_count}, "
+        f"visibility={qm.model_visibility:.4f}"
+    )
     if fit is not None:
-        print(
-            f"fit: amplitude={fit.amplitude:.4f} angular_frequency={fit.angular_frequency:.4f} "
-            f"phase={fit.phase:.4f} offset={fit.offset:.4f} r_squared={fit.r_squared:.4f} "
-            f"converged={fit.converged}"
-        )
+        _print_fit(fit, 4)
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     points = read_sweep_csv(args.results)
     pairs = [(p.delta, p.d1_fraction) for p in points]
-    vis = visibility([f for _, f in pairs])
     if can_fit([d for d, _ in pairs]):
-        fit = fit_sine(pairs)
-        print(
-            f"fit: amplitude={fit.amplitude:.6f} angular_frequency={fit.angular_frequency:.6f} "
-            f"phase={fit.phase:.6f} offset={fit.offset:.6f} r_squared={fit.r_squared:.6f} "
-            f"converged={fit.converged}"
-        )
+        _print_fit(fit_sine(pairs), 6)
     else:
         print("fit: skipped (needs at least 8 rows with 2 distinct deltas)")
-    print(f"visibility: {vis:.6f}")
+    print(f"visibility: {visibility([f for _, f in pairs]):.6f}")
     print("delta,d1_fraction,ci_lo,ci_hi")
     for p in points:
-        ci = binomial_ci(p.counts.d1, p.counts.total)
-        print(f"{p.delta},{p.d1_fraction:.6f},{ci.lo:.6f},{ci.hi:.6f}")
+        lo, hi = binomial_ci(p.counts.d1, p.counts.total)
+        print(f"{p.delta},{p.d1_fraction:.6f},{lo:.6f},{hi:.6f}")
     return 0
 
 
 def cmd_compare_qm(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     points = read_sweep_csv(args.results)
-    sweep = SweepResult(cfg, tuple(points))
-    qm = compare_to_qm(sweep, cfg.particle_frequency)
+    qm = compare_to_qm(
+        [p.delta for p in points], [p.d1_fraction for p in points], cfg.particle_frequency
+    )
     rms = (sum(r * r for r in qm.residuals) / len(qm.residuals)) ** 0.5
     print(
         f"residuals: max_abs={max(abs(r) for r in qm.residuals):.6f} rms={rms:.6f} "
         f"(model fraction minus ideal cos^2 at {len(qm.residuals)} points)"
     )
     print(
-        f"visibility: model={qm.model_visibility:.6f} ideal={qm.ideal_visibility:.6f} "
-        f"gap={qm.visibility_gap:.6f} (the model saturates below the ideal contrast)"
+        f"visibility: model={qm.model_visibility:.6f} ideal={1.0:.6f} "
+        f"gap={1.0 - qm.model_visibility:.6f} (the model saturates below the ideal contrast)"
     )
     if qm.fitted_period is not None:
         rel = abs(qm.fitted_period - qm.ideal_period) / qm.ideal_period

@@ -1,4 +1,4 @@
-"""Experiment configuration: dataclasses, validation, JSON file round-trip.
+"""Experiment configuration: dataclasses, validation, loading from JSON.
 
 The defaults below are the pinned reference setup used throughout the test
 suite: unit particle frequency; first splitter oscillating at the particle
@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .optics import INTER_ARRIVAL_LAWS
 
@@ -96,6 +96,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}.initial_offset must be finite, got {sp.initial_offset!r}")
             if not (_finite(sp.update_alpha) and _finite(sp.update_beta)):
                 raise ConfigError(f"{name} update coefficients must be finite")
+            # bounds alpha*p + beta*s over phases in [0, 2*pi)
+            if not math.isfinite((abs(sp.update_alpha) + abs(sp.update_beta)) * 2.0 * math.pi):
+                raise ConfigError(f"{name} update coefficients overflow a phase update")
         if not (_finite(self.base_path_length) and self.base_path_length >= 0.0):
             raise ConfigError(
                 f"base_path_length must be finite and >= 0, got {self.base_path_length!r}"
@@ -107,10 +110,6 @@ class ExperimentConfig:
                 f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}"
             )
         return self
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return asdict(config)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

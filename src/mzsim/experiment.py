@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .optics import DetectorCounts, generate_emissions
 from .phases import TWO_PI, WRAP_SNAP, wrap_phase
 
@@ -51,13 +51,8 @@ def _delta_bits(delta: float) -> int:
 # One photon's outcome: (emitted_at, reflected_at_bs1, reflected_at_bs2).
 # The BS2 field is None in single-bs runs; a BS1 reflection means path 1.
 Outcome = tuple[float, bool, bool | None]
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    config: ExperimentConfig
-    counts: DetectorCounts
-    trace: tuple[Outcome, ...] | None = None
+# What a single run returns: its counts, and its trace if one was asked for.
+Run = tuple[DetectorCounts, list[Outcome] | None]
 
 
 @dataclass(frozen=True)
@@ -68,20 +63,6 @@ class SweepPoint:
     @property
     def d1_fraction(self) -> float:
         return self.counts.d1_fraction
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    config: ExperimentConfig
-    points: tuple[SweepPoint, ...]
-
-    @property
-    def deltas(self) -> list[float]:
-        return [p.delta for p in self.points]
-
-    @property
-    def fractions(self) -> list[float]:
-        return [p.d1_fraction for p in self.points]
 
 
 def _initial_offsets(config: ExperimentConfig, rng: np.random.Generator) -> list[float]:
@@ -198,15 +179,30 @@ def _run_stream(
     return d1, d2, trace
 
 
+def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
+    """Every ``nu*t`` the stream loop forms must be finite: ``inf % 2pi`` is
+    NaN, and a NaN phase comparison silently transmits every photon. (An
+    infinite arrival time fails on ``particle_frequency``, which is > 0.)"""
+    t_max = last_emission + 2.0 * config.base_path_length + config.delta
+    for name, nu in (
+        ("particle_frequency", config.particle_frequency),
+        ("bs1.frequency", config.bs1.frequency),
+        ("bs2.frequency", config.bs2.frequency),
+    ):
+        if not math.isfinite(nu * t_max):
+            raise ConfigError(f"{name} {nu!r} times the last arrival time {t_max!r} overflows")
+
+
 def _prepare_stream(config: ExperimentConfig) -> tuple[list[float], list[float]]:
     rng = np.random.default_rng(config.master_seed)
     emissions = generate_emissions(
         config.source_rate, config.photon_count, rng, law=config.inter_arrival_law
     )
+    _check_phase_range(config, emissions[-1])
     return emissions, _initial_offsets(config, rng)
 
 
-def run_single_bs(config: ExperimentConfig, trace: bool = False) -> RunRecord:
+def run_single_bs(config: ExperimentConfig, trace: bool = False) -> Run:
     """Stream all photons against the first splitter only.
 
     Reflections count to D1, transmissions to D2.
@@ -214,10 +210,10 @@ def run_single_bs(config: ExperimentConfig, trace: bool = False) -> RunRecord:
     config.validate()
     emissions, offsets = _prepare_stream(config)
     d1, d2, tr = _run_stream(emissions, offsets, config, mzi=False, want_trace=trace)
-    return RunRecord(config, DetectorCounts(d1, d2), tuple(tr) if tr is not None else None)
+    return DetectorCounts(d1, d2), tr
 
 
-def run_mzi(config: ExperimentConfig, trace: bool = False) -> RunRecord:
+def run_mzi(config: ExperimentConfig, trace: bool = False) -> Run:
     """Full two-splitter run.
 
     Each photon travels ``base_path_length`` to BS1; a reflection there sends
@@ -229,11 +225,11 @@ def run_mzi(config: ExperimentConfig, trace: bool = False) -> RunRecord:
     config.validate()
     emissions, offsets = _prepare_stream(config)
     d1, d2, tr = _run_stream(emissions, offsets, config, mzi=True, want_trace=trace)
-    return RunRecord(config, DetectorCounts(d1, d2), tuple(tr) if tr is not None else None)
+    return DetectorCounts(d1, d2), tr
 
 
 def _sweep_point(config: ExperimentConfig) -> SweepPoint:
-    return SweepPoint(config.delta, run_mzi(config).counts)
+    return SweepPoint(config.delta, run_mzi(config)[0])
 
 
 def point_config(config: ExperimentConfig, delta: float) -> ExperimentConfig:
@@ -257,7 +253,7 @@ def run_sweep(
     config: ExperimentConfig,
     deltas: list[float],
     jobs: int = 1,
-) -> SweepResult:
+) -> list[SweepPoint]:
     """One :func:`run_mzi` per delta, in input order.
 
     Each point's seed is a pure function of (master_seed, delta), so the
@@ -272,10 +268,8 @@ def run_sweep(
     workers = pool_size(jobs, len(configs), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_point, configs))
-    else:
-        points = [_sweep_point(c) for c in configs]
-    return SweepResult(config, tuple(points))
+            return list(pool.map(_sweep_point, configs))
+    return [_sweep_point(c) for c in configs]
 
 
 def default_sweep_deltas(

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .analysis import binomial_ci
-from .config import ExperimentConfig, config_to_dict
+from .config import ExperimentConfig
 from .experiment import Outcome, SweepPoint
 from .optics import DetectorCounts
 
@@ -28,47 +29,25 @@ CSV_COLUMNS = ("delta", "d1", "d2", "d1_fraction", "ci_lo", "ci_hi")
 CHILD_SEED_FUNCTION = "splitmix64"
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    schema_version: str
-    kind: str  # "single-bs" | "mzi" | "sweep"
-    config: ExperimentConfig
-    points: tuple[SweepPoint, ...]
-    analysis: dict | None
-    provenance: dict
-    trace: tuple[Outcome, ...] | None = None
-
-
 def build_record(
     kind: str,
     config: ExperimentConfig,
-    points: list[SweepPoint] | tuple[SweepPoint, ...],
+    points: list[SweepPoint],
     analysis: dict | None = None,
-    trace: tuple[Outcome, ...] | None = None,
+    trace: list[Outcome] | None = None,
     timestamp: str | None = None,
-) -> OutputRecord:
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat()
-    provenance = {
-        "master_seed": config.master_seed,
-        "child_seed_function": CHILD_SEED_FUNCTION,
-        "build": f"mzsim {__version__} / numpy {np.__version__}",
-        "timestamp": timestamp,
-    }
-    return OutputRecord(
-        SCHEMA_VERSION, kind, config, tuple(points), analysis, provenance, trace
-    )
-
-
-def record_to_dict(record: OutputRecord) -> dict:
-    """The JSON form of a record. A trace row is
+) -> dict:
+    """The record of a run, ready for ``json.dump``; ``kind`` is
+    ``"single-bs"``, ``"mzi"`` or ``"sweep"``. A trace row is
     ``[emitted_at, "reflect"|"transmit", "path1"|"path2", "reflect"|"transmit"|null]``:
     the BS1 outcome, the path it implies, and the BS2 outcome (null for
     single-bs runs)."""
-    data = {
-        "schema_version": record.schema_version,
-        "kind": record.kind,
-        "config": config_to_dict(record.config),
+    if timestamp is None:
+        timestamp = datetime.now(timezone.utc).isoformat()
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "config": asdict(config),
         "points": [
             {
                 "delta": p.delta,
@@ -76,52 +55,47 @@ def record_to_dict(record: OutputRecord) -> dict:
                 "d2": p.counts.d2,
                 "d1_fraction": p.d1_fraction,
             }
-            for p in record.points
+            for p in points
         ],
-        "analysis": record.analysis,
-        "provenance": record.provenance,
+        "analysis": analysis,
+        "provenance": {
+            "master_seed": config.master_seed,
+            "child_seed_function": CHILD_SEED_FUNCTION,
+            "build": f"mzsim {__version__} / numpy {np.__version__}",
+            "timestamp": timestamp,
+        },
     }
-    if record.trace is not None:
-        data["trace"] = [
+    if trace is not None:
+        record["trace"] = [
             [
                 t,
                 "reflect" if first else "transmit",
                 "path1" if first else "path2",
                 None if second is None else "reflect" if second else "transmit",
             ]
-            for t, first, second in record.trace
+            for t, first, second in trace
         ]
-    return data
+    return record
 
 
-def write_json(record: OutputRecord, path: str | os.PathLike) -> None:
+def write_json(record: dict, path: str | os.PathLike) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(record_to_dict(record), fh, indent=2, sort_keys=True)
+            json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(
-    record: OutputRecord, path: str | os.PathLike, confidence: float = 0.95
-) -> None:
+def write_csv(record: dict, path: str | os.PathLike, confidence: float = 0.95) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for p in record.points:
-                ci = binomial_ci(p.counts.d1, p.counts.total, confidence)
-                writer.writerow(
-                    [
-                        repr(p.delta),
-                        p.counts.d1,
-                        p.counts.d2,
-                        repr(p.d1_fraction),
-                        repr(ci.lo),
-                        repr(ci.hi),
-                    ]
-                )
+            for p in record["points"]:
+                ci = binomial_ci(p["d1"], p["d1"] + p["d2"], confidence)
+                row = (p["delta"], p["d1"], p["d2"], p["d1_fraction"], *ci)
+                writer.writerow([repr(v) for v in row])
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -129,8 +103,9 @@ def write_csv(
 def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
     """Read back a results table written by :func:`write_csv`.
 
-    Every row must have all six fields, a positive total count, and a
-    ``d1_fraction`` equal to ``d1/(d1+d2)``; anything else is a ValueError.
+    Every row must have all six fields, a finite delta, integer counts with a
+    positive total, and a ``d1_fraction`` equal to ``d1/(d1+d2)``; anything
+    else is a ValueError naming the file and line.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -145,11 +120,16 @@ def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
                 where = f"{path} line {reader.line_num}"
                 if len(row) != len(CSV_COLUMNS):
                     raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-                d1, d2 = int(row[1]), int(row[2])
+                try:
+                    delta, d1, d2, fraction = float(row[0]), int(row[1]), int(row[2]), float(row[3])
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+                if not math.isfinite(delta):
+                    raise ValueError(f"{where}: delta {row[0]} is not finite")
                 if d1 < 0 or d2 < 0 or d1 + d2 == 0:
                     raise ValueError(f"{where}: counts d1={d1}, d2={d2} are not a sample")
-                point = SweepPoint(float(row[0]), DetectorCounts(d1, d2))
-                if float(row[3]) != point.d1_fraction:
+                point = SweepPoint(delta, DetectorCounts(d1, d2))
+                if fraction != point.d1_fraction:
                     raise ValueError(
                         f"{where}: d1_fraction {row[3]} is not d1/(d1+d2) = {point.d1_fraction!r}"
                     )

@@ -33,16 +33,16 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 def reference_sweep():
     deltas = default_sweep_deltas(REFERENCE, steps=50)
     start = time.perf_counter()
-    sweep = run_sweep(REFERENCE, deltas)
+    points = run_sweep(REFERENCE, deltas)
     elapsed = time.perf_counter() - start
-    return sweep, elapsed
+    return deltas, [p.d1_fraction for p in points], elapsed
 
 
 def test_criterion_1_single_splitter_is_50_50():
     start = time.perf_counter()
-    record = run_single_bs(REFERENCE)
+    counts, _ = run_single_bs(REFERENCE)
     elapsed = time.perf_counter() - start
-    frac = record.counts.d1_fraction
+    frac = counts.d1_fraction
     _report(
         "1 single-splitter 50/50",
         0.495 <= frac <= 0.505 and elapsed < 1.0,
@@ -51,8 +51,8 @@ def test_criterion_1_single_splitter_is_50_50():
 
 
 def test_criterion_2_sweep_is_sine_like(reference_sweep):
-    sweep, elapsed = reference_sweep
-    fit = fit_sine(list(zip(sweep.deltas, sweep.fractions)))
+    deltas, fractions, elapsed = reference_sweep
+    fit = fit_sine(list(zip(deltas, fractions)))
     period = TWO_PI / fit.angular_frequency
     ideal = TWO_PI / REFERENCE.particle_frequency
     period_err = abs(period - ideal) / ideal
@@ -65,13 +65,13 @@ def test_criterion_2_sweep_is_sine_like(reference_sweep):
 
 
 def test_criterion_3_deviation_magnitude(reference_sweep):
-    sweep, _ = reference_sweep
-    ref_vis = visibility(sweep.fractions)
-    extremum_dev = max(abs(f - 0.5) for f in sweep.fractions)
+    _, fractions, _ = reference_sweep
+    ref_vis = visibility(fractions)
+    extremum_dev = max(abs(f - 0.5) for f in fractions)
 
     tuned_cfg = load_config(REPO_ROOT / "configs" / "strong_interference.json")
     tuned = run_sweep(tuned_cfg, default_sweep_deltas(tuned_cfg, steps=50))
-    tuned_vis = visibility(tuned.fractions)
+    tuned_vis = visibility([p.d1_fraction for p in tuned])
 
     # pinned achieved value for the shipped config (deterministic given its seed)
     pinned = 0.5153
@@ -90,14 +90,14 @@ def test_criterion_3_deviation_magnitude(reference_sweep):
 def test_criterion_4_exact_delta_periodicity():
     cfg = replace(REFERENCE, delta=1.3)
     period = TWO_PI / cfg.particle_frequency
-    a = run_mzi(cfg, trace=True)
-    b = run_mzi(replace(cfg, delta=1.3 + period), trace=True)
-    differing = sum(x != y for x, y in zip(a.trace, b.trace))
+    counts_a, trace_a = run_mzi(cfg, trace=True)
+    counts_b, trace_b = run_mzi(replace(cfg, delta=1.3 + period), trace=True)
+    differing = sum(x != y for x, y in zip(trace_a, trace_b))
     _report(
         "4 exact delta-periodicity",
-        a.trace == b.trace and a.counts == b.counts,
+        trace_a == trace_b and counts_a == counts_b,
         f"per-photon traces for delta and delta+2pi/nu: {differing} differences "
-        f"over {len(a.trace)} photons (exact equality required)",
+        f"over {len(trace_a)} photons (exact equality required)",
     )
 
 
@@ -127,8 +127,8 @@ def test_criterion_6_no_memory_null_result():
         bs1=replace(REFERENCE.bs1, update_alpha=1.0, update_beta=0.0),
         bs2=replace(REFERENCE.bs2, update_alpha=1.0, update_beta=0.0),
     )
-    sweep = run_sweep(null_cfg, default_sweep_deltas(null_cfg, steps=50))
-    worst = max(abs(f - 0.5) for f in sweep.fractions)
+    points = run_sweep(null_cfg, default_sweep_deltas(null_cfg, steps=50))
+    worst = max(abs(p.d1_fraction - 0.5) for p in points)
     _report(
         "6 no-memory null result",
         worst <= 0.01,
@@ -149,15 +149,14 @@ def test_criterion_7_analytic_oracle_vs_monte_carlo():
     ) % TWO_PI
     grid_fraction = float(np.mean(diffs < math.pi))
 
-    record = run_single_bs(REFERENCE)
-    counts = record.counts
-    ci = binomial_ci(counts.d1, counts.total, 0.95)
-    mc_within_ci = ci.lo <= grid_fraction <= ci.hi
+    counts, _ = run_single_bs(REFERENCE)
+    lo, hi = binomial_ci(counts.d1, counts.total, 0.95)
+    mc_within_ci = lo <= grid_fraction <= hi
     _report(
         "7 analytic oracle",
         abs(grid_fraction - 0.5) <= 1e-4 and mc_within_ci,
         f"grid enumeration fraction={grid_fraction:.6f} (0.5 +- 1e-4); Monte Carlo "
-        f"fraction={counts.d1_fraction:.5f}, 95% CI=[{ci.lo:.5f}, {ci.hi:.5f}] "
+        f"fraction={counts.d1_fraction:.5f}, 95% CI=[{lo:.5f}, {hi:.5f}] "
         f"contains the grid value: {mc_within_ci}",
     )
 
@@ -165,10 +164,10 @@ def test_criterion_7_analytic_oracle_vs_monte_carlo():
 def test_criterion_8_analysis_unit_oracles():
     checks = []
 
-    ci = binomial_ci(50_000, 100_000, 0.95)
+    lo, hi = binomial_ci(50_000, 100_000, 0.95)
     half = 1.9599639845400536 * math.sqrt(0.25 / 100_000)
-    checks.append(abs(ci.lo - (0.5 - half)) <= 1e-12 and abs(ci.hi - (0.5 + half)) <= 1e-12)
-    checks.append(binomial_ci(0, 50).lo == 0.0 and binomial_ci(50, 50).hi == 1.0)
+    checks.append(abs(lo - (0.5 - half)) <= 1e-12 and abs(hi - (0.5 + half)) <= 1e-12)
+    checks.append(binomial_ci(0, 50)[0] == 0.0 and binomial_ci(50, 50)[1] == 1.0)
 
     checks.append(visibility([0.5, 0.5]) == 0.0)
     checks.append(visibility([0.25, 0.75]) == 0.5)

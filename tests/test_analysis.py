@@ -13,8 +13,7 @@ from mzsim.analysis import (
     qm_reference,
     visibility,
 )
-from mzsim.config import ExperimentConfig
-from mzsim.experiment import SweepPoint, SweepResult
+from mzsim.experiment import SweepPoint
 from mzsim.optics import DetectorCounts
 from mzsim.phases import TWO_PI
 
@@ -26,31 +25,29 @@ Z_975 = 1.9599639845400536  # standard normal 97.5% quantile
 
 
 def test_ci_degenerate_zero():
-    ci = binomial_ci(0, 50, 0.95)
-    assert ci.point == 0.0
-    assert ci.lo == 0.0
+    lo, _ = binomial_ci(0, 50, 0.95)
+    assert lo == 0.0
 
 
 def test_ci_degenerate_full():
-    ci = binomial_ci(50, 50, 0.95)
-    assert ci.point == 1.0
-    assert ci.hi == 1.0
+    _, hi = binomial_ci(50, 50, 0.95)
+    assert hi == 1.0
 
 
 def test_ci_half_at_1e5():
     # oracle: direct formula with the frozen quantile
-    ci = binomial_ci(50_000, 100_000, 0.95)
+    lo, hi = binomial_ci(50_000, 100_000, 0.95)
     half = Z_975 * math.sqrt(0.25 / 100_000)
-    assert ci.lo == pytest.approx(0.5 - half, abs=1e-12)
-    assert ci.hi == pytest.approx(0.5 + half, abs=1e-12)
-    assert round(ci.lo, 4) == 0.4969
-    assert round(ci.hi, 4) == 0.5031
+    assert lo == pytest.approx(0.5 - half, abs=1e-12)
+    assert hi == pytest.approx(0.5 + half, abs=1e-12)
+    assert round(lo, 4) == 0.4969
+    assert round(hi, 4) == 0.5031
 
 
 def test_ci_width_shrinks_like_inverse_sqrt_n():
-    narrow = binomial_ci(120_000, 400_000)
-    wide = binomial_ci(30_000, 100_000)
-    assert (narrow.hi - narrow.lo) == pytest.approx((wide.hi - wide.lo) / 2, abs=1e-12)
+    narrow_lo, narrow_hi = binomial_ci(120_000, 400_000)
+    wide_lo, wide_hi = binomial_ci(30_000, 100_000)
+    assert (narrow_hi - narrow_lo) == pytest.approx((wide_hi - wide_lo) / 2, abs=1e-12)
 
 
 def test_ci_rejects_bad_arguments():
@@ -170,39 +167,38 @@ def test_qm_reference_identity(delta, nu):
 
 
 def fabricated_sweep(deltas, fractions):
-    # d1/(d1+d2) is exactly f: a float is a ratio of integers, and int/int
-    # division rounds correctly
+    """``(deltas, fractions)`` as a sweep would report them, with each
+    fraction derived from counts. d1/(d1+d2) is exactly f: a float is a ratio
+    of integers, and int/int division rounds correctly."""
     ratios = [Fraction(f) for f in fractions]
-    points = tuple(
+    points = [
         SweepPoint(d, DetectorCounts(r.numerator, r.denominator - r.numerator))
         for d, r in zip(deltas, ratios)
-    )
-    return SweepResult(ExperimentConfig(), points)
+    ]
+    return [p.delta for p in points], [p.d1_fraction for p in points]
 
 
 def test_compare_to_qm_zero_residuals_for_ideal_sweep():
     deltas = np.linspace(0.0, TWO_PI, 16).tolist()
     fractions = [qm_reference(d, 1.0) for d in deltas]
-    report = compare_to_qm(fabricated_sweep(deltas, fractions), 1.0)
+    report = compare_to_qm(*fabricated_sweep(deltas, fractions), 1.0)
     assert all(r == 0.0 for r in report.residuals)
     assert report.ideal_period == pytest.approx(TWO_PI)
 
 
 def test_compare_to_qm_flat_sweep_has_unit_gap():
     deltas = np.linspace(0.0, TWO_PI, 16).tolist()
-    report = compare_to_qm(fabricated_sweep(deltas, [0.5] * 16), 1.0)
+    report = compare_to_qm(*fabricated_sweep(deltas, [0.5] * 16), 1.0)
     assert report.model_visibility == 0.0
-    assert report.visibility_gap == 1.0
 
 
 def test_compare_to_qm_skips_fit_for_tiny_sweeps():
-    report = compare_to_qm(fabricated_sweep([0.0, 1.0], [0.5, 0.6]), 1.0)
-    assert report.fit is None
+    report = compare_to_qm(*fabricated_sweep([0.0, 1.0], [0.5, 0.6]), 1.0)
     assert report.fitted_period is None
 
 
 def test_compare_to_qm_recovers_fringe_period():
     deltas = np.linspace(0.0, 2 * TWO_PI, 40)
     fractions = 0.5 + 0.2 * np.sin(deltas + 0.4)
-    report = compare_to_qm(fabricated_sweep(deltas.tolist(), fractions.tolist()), 1.0)
+    report = compare_to_qm(*fabricated_sweep(deltas.tolist(), fractions.tolist()), 1.0)
     assert report.fitted_period == pytest.approx(TWO_PI, rel=1e-3)

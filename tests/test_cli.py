@@ -115,6 +115,65 @@ def test_trace_json_rows_are_pinned(tmp_path, command, extra):
     assert digest == TRACE_SHA256[command]
 
 
+def record_digest(path):
+    """sha256 of a JSON record minus the run-dependent provenance fields."""
+    data = json.loads(path.read_text())
+    del data["provenance"]["timestamp"], data["provenance"]["build"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+SWEEP_ARGV = ["sweep", "--steps", "8", "--photons", "500", "--seed", "42"]
+
+# sha256 of (output file, stdout) for each command at seed 42. Any change to
+# a number, a column, a key or a print format moves these.
+OUTPUT_SHA256 = {
+    "sweep-json": (
+        "9b8984c282a08191b300438252ac064536bff14bce277eddb3d6b88f42b6e748",
+        "bbe3bc40fdf8ca7b550fdd0752eb082e68583d9db588615fc5cb78cb1a468e38",
+    ),
+    "sweep-csv": (
+        "b3d4c31c9458bcdc7226f615e0d7afb3821eb88554d98b4482d9e6870fa9a6a8",
+        "bbe3bc40fdf8ca7b550fdd0752eb082e68583d9db588615fc5cb78cb1a468e38",
+    ),
+    "mzi-json": (
+        "28e1db282f907b7206a1b59ca9c1905aad4348767c951322cbc4fd2bed62ff30",
+        "11ffc395b0aef4702ba85e81dff6fa51820e14a915ea48d902a82b41ac38d756",
+    ),
+    "analyze": (
+        "b3d4c31c9458bcdc7226f615e0d7afb3821eb88554d98b4482d9e6870fa9a6a8",
+        "b57abb7c2aed26181bac8e299c8edd0fe3dce4ef1e1f49d9f2a4016bf7611317",
+    ),
+    "compare-qm": (
+        "b3d4c31c9458bcdc7226f615e0d7afb3821eb88554d98b4482d9e6870fa9a6a8",
+        "b54b37047467d7523daebb163778cc9438ce56d38ee83f04c3d0b2213ba321b6",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_SHA256))
+def test_outputs_are_pinned(tmp_path, capsys, case):
+    table = tmp_path / "sweep.csv"
+    if case == "sweep-json":
+        path, digest = tmp_path / "sweep.json", record_digest
+        assert run_cli(*SWEEP_ARGV, "--out", str(path)) == 0
+    elif case == "mzi-json":
+        path, digest = tmp_path / "mzi.json", record_digest
+        assert run_cli("mzi", "--photons", "500", "--delta", "1.5", "--seed", "42",
+                       "--format", "json", "--out", str(path)) == 0
+    else:
+        path, digest = table, file_digest
+        assert run_cli(*SWEEP_ARGV, "--out", str(table)) == 0
+        if case != "sweep-csv":
+            capsys.readouterr()
+            assert run_cli(case, str(table)) == 0
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (digest(path), stdout) == OUTPUT_SHA256[case]
+
+
 def test_sweep_parallel_flag_matches_serial(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
@@ -147,7 +206,10 @@ def test_sweep_json_fit_block_has_the_fit_fields(tmp_path):
     "row, reason",
     [("0.0,5,5,0.5,0", "expected 6 fields"),
      ("0.0,5,5,0.9,0,1", "is not d1/(d1+d2)"),
-     ("0.0,0,0,0.0,0,0", "not a sample")],
+     ("0.0,0,0,0.0,0,0", "not a sample"),
+     ("nan,5,5,0.5,0,1", "line 2: delta nan is not finite"),
+     ("inf,5,5,0.5,0,1", "line 2: delta inf is not finite"),
+     ("0.0,5.0,5,0.5,0,1", "line 2: invalid literal for int()")],
 )
 @pytest.mark.parametrize("command", ["analyze", "compare-qm"])
 def test_malformed_csv_row_is_a_single_line_error(tmp_path, capsys, command, row, reason):
@@ -197,6 +259,24 @@ def test_wrong_json_type_in_config_is_a_single_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "source_rate" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "patch, field",
+    [({"bs1": {"frequency": 1e308}}, "bs1.frequency"),
+     ({"particle_frequency": 1e308}, "particle_frequency"),
+     ({"bs2": {"update_alpha": 1e308}}, "bs2 update coefficients"),
+     ({"source_rate": 1e-308}, "particle_frequency 1.0 times the last arrival time inf")],
+)
+def test_phase_overflow_is_a_single_line_error(tmp_path, capsys, patch, field):
+    # inf % 2pi is NaN, and a NaN phase would silently transmit every photon
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(patch))
+    assert run_cli("single-bs", "--config", str(cfg_path), "--photons", "100") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + field)
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_invalid_photon_count_is_reported(capsys):

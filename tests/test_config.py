@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,6 @@ from mzsim.config import (
     ExperimentConfig,
     SplitterConfig,
     config_from_dict,
-    config_to_dict,
     load_config,
 )
 
@@ -81,7 +81,7 @@ def test_dict_round_trip():
         master_seed=987654321,
     )
     for cfg in (ExperimentConfig(), non_default):
-        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+        assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 @pytest.mark.parametrize(
@@ -102,6 +102,7 @@ def test_dict_round_trip():
         ({"bs1": {"frequency": None}}, "bs1.frequency"),
         ({"photon_count": True}, "photon_count"),
         ({"master_seed": True}, "master_seed"),
+        ({"bs2": {"update_alpha": 1e308}}, "bs2"),
     ],
 )
 def test_validation_names_offending_field(patch, field):

@@ -33,19 +33,19 @@ def small_config(**overrides):
 
 
 def test_single_bs_is_balanced_for_uniform_phases():
-    record = run_single_bs(small_config(photon_count=20_000))
-    assert record.counts.total == 20_000
+    counts, _ = run_single_bs(small_config(photon_count=20_000))
+    assert counts.total == 20_000
     # 3-sigma binomial band at n=2e4
-    assert abs(record.counts.d1_fraction - 0.5) <= 0.011
+    assert abs(counts.d1_fraction - 0.5) <= 0.011
 
 
 def test_single_photon_with_locked_phase_reflects():
     # particle and first splitter share frequency and offset, so the phase
     # difference at arrival is exactly zero
     cfg = small_config(photon_count=1, particle_initial_phase=0.0)
-    record = run_single_bs(cfg)
-    assert record.counts.d1 == 1
-    assert record.counts.d2 == 0
+    counts, _ = run_single_bs(cfg)
+    assert counts.d1 == 1
+    assert counts.d2 == 0
 
 
 def test_single_bs_grid_enumeration_oracle():
@@ -74,8 +74,8 @@ def test_single_bs_deterministic():
 
 
 def test_mzi_counts_are_conserved():
-    record = run_mzi(small_config(delta=1.1))
-    assert record.counts.d1 + record.counts.d2 == 2000
+    counts, _ = run_mzi(small_config(delta=1.1))
+    assert counts.d1 + counts.d2 == 2000
 
 
 def test_mzi_deterministic_including_trace():
@@ -83,16 +83,17 @@ def test_mzi_deterministic_including_trace():
     a = run_mzi(cfg, trace=True)
     b = run_mzi(cfg, trace=True)
     assert a == b
-    assert len(a.trace) == 2000
+    _, trace = a
+    assert len(trace) == 2000
 
 
 def test_mzi_trace_periodic_in_delta():
     cfg = small_config(photon_count=20_000, delta=0.8)
     period = TWO_PI / cfg.particle_frequency
-    a = run_mzi(cfg, trace=True)
-    b = run_mzi(replace(cfg, delta=0.8 + period), trace=True)
-    assert a.trace == b.trace
-    assert a.counts == b.counts
+    counts_a, trace_a = run_mzi(cfg, trace=True)
+    counts_b, trace_b = run_mzi(replace(cfg, delta=0.8 + period), trace=True)
+    assert trace_a == trace_b
+    assert counts_a == counts_b
 
 
 def test_mzi_rejects_invalid_config():
@@ -156,10 +157,10 @@ configs = st.builds(
 @given(config=configs)
 def test_stream_loop_matches_interact_reference(mzi, config):
     """The inlined stream loop and the interact-based reference agree exactly."""
-    record = (run_mzi if mzi else run_single_bs)(config, trace=True)
-    d1, d2, trace = reference_stream(config, mzi)
-    assert (record.counts.d1, record.counts.d2) == (d1, d2)
-    assert list(record.trace) == trace
+    counts, trace = (run_mzi if mzi else run_single_bs)(config, trace=True)
+    d1, d2, reference = reference_stream(config, mzi)
+    assert (counts.d1, counts.d2) == (d1, d2)
+    assert trace == reference
 
 
 def test_reversed_stream_changes_splitter_memory():
@@ -204,12 +205,12 @@ def test_child_seed_rejects_negative_index():
 
 def test_sweep_single_point_equals_direct_run():
     cfg = small_config()
-    sweep = run_sweep(cfg, [0.0])
-    assert len(sweep.points) == 1
-    direct = run_mzi(point_config(cfg, 0.0))
-    assert sweep.points[0].delta == 0.0
-    assert sweep.points[0].counts == direct.counts
-    assert sweep.points[0].d1_fraction == direct.counts.d1_fraction
+    points = run_sweep(cfg, [0.0])
+    assert len(points) == 1
+    direct, _ = run_mzi(point_config(cfg, 0.0))
+    assert points[0].delta == 0.0
+    assert points[0].counts == direct
+    assert points[0].d1_fraction == direct.d1_fraction
 
 
 def test_sweep_is_permutation_invariant():
@@ -218,15 +219,14 @@ def test_sweep_is_permutation_invariant():
     forward = run_sweep(cfg, deltas)
     shuffled = deltas[::-1]
     backward = run_sweep(cfg, shuffled)
-    unshuffled = {p.delta: p for p in backward.points}
-    assert [unshuffled[d] for d in deltas] == list(forward.points)
+    unshuffled = {p.delta: p for p in backward}
+    assert [unshuffled[d] for d in deltas] == forward
 
 
 def test_sweep_preserves_input_order():
     cfg = small_config(photon_count=500)
     deltas = [2.0, 0.5, 1.0]
-    sweep = run_sweep(cfg, deltas)
-    assert [p.delta for p in sweep.points] == deltas
+    assert [p.delta for p in run_sweep(cfg, deltas)] == deltas
 
 
 def test_sweep_parallel_matches_serial():
@@ -236,8 +236,7 @@ def test_sweep_parallel_matches_serial():
 
 
 def test_negative_zero_delta_is_the_same_point():
-    sweep = run_sweep(small_config(), [0.0, -0.0])
-    a, b = sweep.points
+    a, b = run_sweep(small_config(), [0.0, -0.0])
     assert a == b
     assert math.copysign(1.0, b.delta) == 1.0  # stored as 0.0, not -0.0
 
@@ -257,8 +256,7 @@ def test_sweep_rejects_empty_deltas():
 
 
 def test_sweep_fraction_is_exact_ratio():
-    sweep = run_sweep(small_config(photon_count=640), [0.3])
-    point = sweep.points[0]
+    (point,) = run_sweep(small_config(photon_count=640), [0.3])
     assert point.d1_fraction == point.counts.d1 / point.counts.total
 
 

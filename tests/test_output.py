@@ -9,7 +9,6 @@ from mzsim.output import (
     CSV_COLUMNS,
     build_record,
     read_sweep_csv,
-    record_to_dict,
     write_csv,
     write_json,
 )
@@ -43,9 +42,10 @@ def test_csv_floats_round_trip_exactly(tmp_path):
     write_csv(record, path)
     points = read_sweep_csv(path)
     assert len(points) == 1
-    assert points[0].delta == record.points[0].delta  # bit-exact via repr
-    assert points[0].d1_fraction == record.points[0].d1_fraction
-    assert points[0].counts == record.points[0].counts
+    (written,) = record["points"]
+    assert points[0].delta == written["delta"]  # bit-exact via repr
+    assert points[0].d1_fraction == written["d1_fraction"]
+    assert points[0].counts == DetectorCounts(written["d1"], written["d2"])
 
 
 def test_json_round_trip_equality(tmp_path):
@@ -54,12 +54,12 @@ def test_json_round_trip_equality(tmp_path):
     write_json(record, path)
     write_json(record, tmp_path / "out2.json")
     assert path.read_bytes() == (tmp_path / "out2.json").read_bytes()
-    assert json.loads(path.read_text()) == record_to_dict(record)
+    assert json.loads(path.read_text()) == record
 
 
 def test_json_trace_rows():
     # one mzi row (BS1 transmit, BS2 reflect) and one single-bs row
-    trace = ((0.5, False, True), (1.5, True, None))
+    trace = [(0.5, False, True), (1.5, True, None)]
     record = build_record(
         "mzi",
         ExperimentConfig(),
@@ -68,15 +68,15 @@ def test_json_trace_rows():
         trace=trace,
         timestamp="2024-01-01T00:00:00+00:00",
     )
-    rows = json.loads(json.dumps(record_to_dict(record)))["trace"]
+    rows = json.loads(json.dumps(record))["trace"]
     assert rows == [[0.5, "transmit", "path2", "reflect"], [1.5, "reflect", "path1", None]]
 
 
 def test_provenance_carries_seed_and_mixer():
-    record = one_point_record()
-    assert record.provenance["master_seed"] == 42
-    assert record.provenance["child_seed_function"] == "splitmix64"
-    assert "mzsim" in record.provenance["build"]
+    provenance = one_point_record()["provenance"]
+    assert provenance["master_seed"] == 42
+    assert provenance["child_seed_function"] == "splitmix64"
+    assert "mzsim" in provenance["build"]
 
 
 def test_read_rejects_foreign_header(tmp_path):
@@ -96,7 +96,7 @@ def test_read_rejects_empty_table(tmp_path):
 def test_sweep_point_fraction_is_derived_from_counts():
     point = SweepPoint(0.5, DetectorCounts(3, 7))
     assert point.d1_fraction == 0.3
-    assert record_to_dict(one_point_record())["points"][0]["d1_fraction"] == 1 / 3
+    assert one_point_record()["points"][0]["d1_fraction"] == 1 / 3
 
 
 def test_write_error_carries_path_context(tmp_path):
