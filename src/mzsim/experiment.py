@@ -12,11 +12,16 @@ safe to evaluate in parallel.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import shutil
 import struct
+import subprocess
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -65,17 +70,129 @@ class SweepPoint:
         return self.counts.d1_fraction
 
 
-def _initial_offsets(config: ExperimentConfig, rng: np.random.Generator) -> list[float]:
+def _initial_offsets(config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     n = config.photon_count
     if config.particle_initial_phase is None:
         offsets = rng.uniform(0.0, TWO_PI, n)
         # same boundary snap as wrap_phase, vectorized
         offsets[TWO_PI - offsets < WRAP_SNAP] = 0.0
-        return offsets.tolist()
-    return [wrap_phase(config.particle_initial_phase)] * n
+        return offsets
+    return np.full(n, wrap_phase(config.particle_initial_phase))
+
+
+# The compiled stream loop: its source, and the flags it must be built with
+# to match the Python loop bit for bit (see _kernel.c).
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def _compiler() -> str | None:
+    return shutil.which("cc")
+
+
+def _build_kernel() -> Path:
+    """Path of the compiled kernel in ``__pycache__``, compiling it if absent.
+
+    The file name carries a hash of the source and flags, so an edit to
+    either builds a new library. Processes compiling at the same time each
+    write their own temporary file and move it into place atomically.
+    """
+    import hashlib
+
+    source = _KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    lib = _KERNEL_SOURCE.with_name("__pycache__") / f"_kernel-{key}.so"
+    if lib.exists():
+        return lib
+    cc = _compiler()
+    if cc is None:
+        raise OSError("no C compiler (cc) on PATH")
+    lib.parent.mkdir(exist_ok=True)
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        subprocess.run(
+            [cc, *_CFLAGS, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(tmp, lib)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return lib
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled ``run_stream`` of ``_kernel.c``, loaded once per process,
+    or None (with one warning) when it cannot be built or loaded here."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(str(_build_kernel()))
+    except (OSError, subprocess.SubprocessError) as exc:
+        warnings.warn(
+            f"mzsim: cannot build the compiled stream loop ({exc}); "
+            "using the much slower Python loop",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    flags = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
+    run = lib.run_stream
+    run.argtypes = [doubles, doubles, ctypes.c_int64, *[ctypes.c_double] * 11,
+                    ctypes.c_int, flags, flags]
+    run.restype = None
+    return run
+
+
+def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
+    """``(nu_p, base, delta, nu1, a1, b1, xi1, nu2, a2, b2, xi2)``: what the
+    stream loop reads of a config, with the splitter offsets wrapped."""
+    bs1, bs2 = config.bs1, config.bs2
+    return (
+        config.particle_frequency, config.base_path_length, config.delta,
+        bs1.frequency, bs1.update_alpha, bs1.update_beta, wrap_phase(bs1.initial_offset),
+        bs2.frequency, bs2.update_alpha, bs2.update_beta, wrap_phase(bs2.initial_offset),
+    )
 
 
 def _run_stream(
+    emissions: np.ndarray,
+    phase_offsets: np.ndarray,
+    config: ExperimentConfig,
+    *,
+    mzi: bool,
+    want_trace: bool,
+) -> tuple[int, int, list[Outcome] | None]:
+    """Sequential pass of a photon stream through the apparatus:
+    ``(d1, d2, trace | None)``.
+
+    ``emissions`` and ``phase_offsets`` are float64 arrays, one entry per
+    photon. The loop runs in the compiled kernel (``_kernel.c``), which
+    writes each photon's BS1 and BS2 outcome to an int8 array; counts and
+    trace rows are read from those. Where the kernel cannot be built it
+    runs in :func:`_run_stream_py`, with a warning.
+    """
+    if phase_offsets.shape != emissions.shape or emissions.ndim != 1:
+        raise ValueError("emissions and phase offsets must be 1-d arrays of one length")
+    kernel = _load_kernel()
+    if kernel is None:
+        return _run_stream_py(
+            emissions.tolist(), phase_offsets.tolist(), config, mzi=mzi, want_trace=want_trace
+        )
+    n = emissions.size
+    bs1 = np.empty(n, np.int8)
+    bs2 = np.zeros(n, np.int8)
+    kernel(emissions, phase_offsets, n, *_stream_params(config), mzi, bs1, bs2)
+    d1 = int(np.count_nonzero(bs2 if mzi else bs1))
+    trace = None
+    if want_trace:
+        second = bs2.view(np.bool_).tolist() if mzi else [None] * n
+        trace = list(zip(emissions.tolist(), bs1.view(np.bool_).tolist(), second))
+    return d1, n - d1, trace
+
+
+def _run_stream_py(
     emissions: list[float],
     phase_offsets: list[float],
     config: ExperimentConfig,
@@ -83,25 +200,17 @@ def _run_stream(
     mzi: bool,
     want_trace: bool,
 ) -> tuple[int, int, list[Outcome] | None]:
-    """Sequential pass of a photon stream through the apparatus.
+    """The stream loop in Python, on lists of floats: the reference the
+    compiled kernel is tested against, and its fallback.
 
     At each splitter this applies :func:`mzsim.optics.interact` to the
     photon's and the splitter's phases at the interaction time, then rebases
-    the offsets of whatever changed (``wrap(phase - nu*t)``). The loop is the
-    hot path (~1e7 interactions for a full sweep), so it inlines that rule
-    and the wrap-and-snap of :func:`mzsim.phases.wrap_phase` on plain floats;
-    a property test checks it photon for photon against an ``interact``-based
-    reference loop.
+    the offsets of whatever changed (``wrap(phase - nu*t)``). It inlines that
+    rule and the wrap-and-snap of :func:`mzsim.phases.wrap_phase` on plain
+    floats; a property test checks it photon for photon against an
+    ``interact``-based reference loop.
     """
-    nu_p = config.particle_frequency
-    base = config.base_path_length
-    delta = config.delta
-    nu1 = config.bs1.frequency
-    a1, b1 = config.bs1.update_alpha, config.bs1.update_beta
-    nu2 = config.bs2.frequency
-    a2, b2 = config.bs2.update_alpha, config.bs2.update_beta
-    xi1 = wrap_phase(config.bs1.initial_offset)
-    xi2 = wrap_phase(config.bs2.initial_offset)
+    nu_p, base, delta, nu1, a1, b1, xi1, nu2, a2, b2, xi2 = _stream_params(config)
 
     two_pi = TWO_PI
     pi = math.pi
@@ -193,12 +302,12 @@ def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
             raise ConfigError(f"{name} {nu!r} times the last arrival time {t_max!r} overflows")
 
 
-def _prepare_stream(config: ExperimentConfig) -> tuple[list[float], list[float]]:
+def _prepare_stream(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(config.master_seed)
     emissions = generate_emissions(
         config.source_rate, config.photon_count, rng, law=config.inter_arrival_law
     )
-    _check_phase_range(config, emissions[-1])
+    _check_phase_range(config, float(emissions[-1]))
     return emissions, _initial_offsets(config, rng)
 
 

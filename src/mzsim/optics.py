@@ -39,13 +39,13 @@ def generate_emissions(
     n: int,
     rng: np.random.Generator,
     law: str = "exponential",
-) -> list[float]:
+) -> np.ndarray:
     """Emission times for ``n`` photons from a source of the given mean rate.
 
     Gaps between consecutive emissions are i.i.d. draws with mean ``1/rate``:
     exponential by default, or ``uniform`` on [0, 2/rate], or ``fixed`` at
-    exactly 1/rate. The returned list is strictly increasing and fully
-    determined by ``rng``'s state.
+    exactly 1/rate. The returned float64 array (the cumulative sum of the
+    gaps) is strictly increasing and fully determined by ``rng``'s state.
     """
     if not (math.isfinite(rate) and rate > 0.0):
         raise ValueError(f"source rate must be finite and > 0, got {rate!r}")
@@ -59,7 +59,7 @@ def generate_emissions(
         gaps = np.full(n, 1.0 / rate)
     else:
         raise ValueError(f"unknown inter-arrival law {law!r}")
-    return np.cumsum(gaps).tolist()
+    return np.cumsum(gaps)
 
 
 def interact(p: float, s: float, alpha: float, beta: float) -> tuple[bool, float, float]:

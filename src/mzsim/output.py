@@ -103,9 +103,10 @@ def write_csv(record: dict, path: str | os.PathLike, confidence: float = 0.95) -
 def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
     """Read back a results table written by :func:`write_csv`.
 
-    Every row must have all six fields, a finite delta, integer counts with a
-    positive total, and a ``d1_fraction`` equal to ``d1/(d1+d2)``; anything
-    else is a ValueError naming the file and line.
+    Every row must have all six fields, a finite delta and finite interval
+    bounds, integer counts with a positive total, and a ``d1_fraction`` equal
+    to ``d1/(d1+d2)``; anything else is a ValueError naming the file and
+    line. The interval is recomputed from the counts wherever it is used.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -122,10 +123,13 @@ def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
                     raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
                 try:
                     delta, d1, d2, fraction = float(row[0]), int(row[1]), int(row[2]), float(row[3])
+                    ci_lo, ci_hi = float(row[4]), float(row[5])
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
                 if not math.isfinite(delta):
                     raise ValueError(f"{where}: delta {row[0]} is not finite")
+                if not (math.isfinite(ci_lo) and math.isfinite(ci_hi)):
+                    raise ValueError(f"{where}: interval [{row[4]}, {row[5]}] is not finite")
                 if d1 < 0 or d2 < 0 or d1 + d2 == 0:
                     raise ValueError(f"{where}: counts d1={d1}, d2={d2} are not a sample")
                 point = SweepPoint(delta, DetectorCounts(d1, d2))

@@ -209,7 +209,9 @@ def test_sweep_json_fit_block_has_the_fit_fields(tmp_path):
      ("0.0,0,0,0.0,0,0", "not a sample"),
      ("nan,5,5,0.5,0,1", "line 2: delta nan is not finite"),
      ("inf,5,5,0.5,0,1", "line 2: delta inf is not finite"),
-     ("0.0,5.0,5,0.5,0,1", "line 2: invalid literal for int()")],
+     ("0.0,5.0,5,0.5,0,1", "line 2: invalid literal for int()"),
+     ("0.0,5,5,0.5,x,y", "line 2: could not convert string to float: 'x'"),
+     ("0.0,5,5,0.5,nan,1", "line 2: interval [nan, 1] is not finite")],
 )
 @pytest.mark.parametrize("command", ["analyze", "compare-qm"])
 def test_malformed_csv_row_is_a_single_line_error(tmp_path, capsys, command, row, reason):

@@ -1,4 +1,5 @@
 import math
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,10 @@ from mzsim.experiment import (
     run_mzi,
     run_single_bs,
     run_sweep,
+    _load_kernel,
     _prepare_stream,
     _run_stream,
+    _run_stream_py,
 )
 from mzsim.optics import generate_emissions, interact
 from mzsim.phases import TWO_PI, wrap_phase
@@ -114,7 +117,8 @@ def reference_stream(config, mzi):
     xi = [wrap_phase(sp.initial_offset) for sp in splitters]
     counts = [0, 0]
     trace = []
-    for emitted, phi in zip(*_prepare_stream(config)):
+    emissions, offsets = _prepare_stream(config)
+    for emitted, phi in zip(emissions.tolist(), offsets.tolist()):
         t = emitted + base
         outcomes = []
         for k, sp in enumerate(splitters[: 1 + mzi]):
@@ -152,14 +156,37 @@ configs = st.builds(
 )
 
 
-@pytest.mark.parametrize("mzi", [True, False], ids=["mzi", "single-bs"])
+def python_loop(config, mzi):
+    emissions, offsets = _prepare_stream(config)
+    d1, d2, trace = _run_stream_py(
+        emissions.tolist(), offsets.tolist(), config, mzi=mzi, want_trace=True
+    )
+    return (d1, d2), trace
+
+
+def compiled_loop(config, mzi):
+    assert _load_kernel() is not None, "the compiled kernel did not load"
+    counts, trace = (run_mzi if mzi else run_single_bs)(config, trace=True)
+    return (counts.d1, counts.d2), trace
+
+
+@pytest.mark.parametrize(
+    "loop, mzi",
+    [pytest.param(compiled_loop, True, id="mzi"),
+     pytest.param(compiled_loop, False, id="single-bs"),
+     pytest.param(python_loop, True, id="python-loop-mzi"),
+     pytest.param(python_loop, False, id="python-loop-single-bs")],
+)
 @settings(max_examples=60, deadline=None)
 @given(config=configs)
-def test_stream_loop_matches_interact_reference(mzi, config):
-    """The inlined stream loop and the interact-based reference agree exactly."""
-    counts, trace = (run_mzi if mzi else run_single_bs)(config, trace=True)
+def test_stream_loop_matches_interact_reference(loop, mzi, config):
+    """The compiled kernel (what run_mzi runs) and the inlined Python loop
+    each agree exactly with the interact-based reference."""
+    if loop is compiled_loop and shutil.which("cc") is None:
+        pytest.skip("no C compiler: run_mzi runs the Python loop")
+    counts, trace = loop(config, mzi)
     d1, d2, reference = reference_stream(config, mzi)
-    assert (counts.d1, counts.d2) == (d1, d2)
+    assert counts == (d1, d2)
     assert trace == reference
 
 
@@ -171,10 +198,10 @@ def test_reversed_stream_changes_splitter_memory():
     emissions = generate_emissions(
         cfg.source_rate, cfg.photon_count, rng, law=cfg.inter_arrival_law
     )
-    offsets = rng.uniform(0.0, TWO_PI, cfg.photon_count).tolist()
+    offsets = rng.uniform(0.0, TWO_PI, cfg.photon_count)
     _, _, forward = _run_stream(emissions, offsets, cfg, mzi=True, want_trace=True)
     _, _, backward = _run_stream(
-        emissions[::-1], offsets[::-1], cfg, mzi=True, want_trace=True
+        emissions[::-1].copy(), offsets[::-1].copy(), cfg, mzi=True, want_trace=True
     )
     assert forward != backward[::-1]
 

@@ -56,13 +56,13 @@ def test_detector_counts_accessors():
 
 def test_generate_emissions_empty():
     rng = np.random.default_rng(0)
-    assert generate_emissions(1.0, 0, rng) == []
+    assert generate_emissions(1.0, 0, rng).size == 0
 
 
 def test_generate_emissions_deterministic():
     a = generate_emissions(2.0, 500, np.random.default_rng(7))
     b = generate_emissions(2.0, 500, np.random.default_rng(7))
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def test_generate_emissions_strictly_increasing():
