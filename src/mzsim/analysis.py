@@ -4,6 +4,7 @@ sinusoid fitting, and the ideal interferometer reference curve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -13,9 +14,17 @@ import numpy as np
 from .phases import TWO_PI, wrap_phase
 
 _FREQ_SCAN_POINTS = 512
+_SCAN_BLOCK = 16  # frequencies ranked per pass: work arrays of 16 x rows doubles
+_MAX_GRAM_COND = 1e5  # scores of worse-conditioned frequencies are re-scored
 _MIN_FIT_POINTS = 8
 _GN_MAX_ITER = 100
 _GN_MAX_HALVINGS = 25
+
+
+@functools.lru_cache(maxsize=16)
+def _z_value(confidence: float) -> float:
+    """The two-sided standard normal quantile for ``confidence``."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def binomial_ci(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -30,8 +39,7 @@ def binomial_ci(successes: int, trials: int, confidence: float = 0.95) -> tuple[
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     p = successes / trials
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    half = z * math.sqrt(p * (1.0 - p) / trials)
+    half = _z_value(confidence) * math.sqrt(p * (1.0 - p) / trials)
     return max(0.0, p - half), min(1.0, p + half)
 
 
@@ -58,19 +66,81 @@ class SineFit:
     converged: bool = True
 
 
+def _frequency_grid(span: float) -> np.ndarray | None:
+    """The scanned frequencies, [0.1, 10] times the fundamental 2*pi/span, or
+    None when the span is not finite and positive, or so small that the top
+    frequency 10 * 2*pi/span overflows."""
+    base = TWO_PI / span if 0.0 < span < math.inf else math.inf
+    if not 10.0 * base < math.inf:
+        return None
+    return np.linspace(0.1 * base, 10.0 * base, _FREQ_SCAN_POINTS)
+
+
+def _trusted_grams(gram: np.ndarray) -> np.ndarray:
+    """Which of a stack of symmetric 3x3 Gram matrices have condition number
+    at most ``_MAX_GRAM_COND``, tested as trace * (sum of principal 2x2
+    minors) / det, which is at least the condition number and at most 9 times
+    it. Such a matrix also has det >= (trace/3)**3 / _MAX_GRAM_COND**2, far
+    above rounding, so that second test rejects only matrices the first would
+    reject in exact arithmetic, such as one of rank 1 whose computed
+    determinant and minors are both rounding noise."""
+    a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 0, 2]
+    d, e, f = gram[:, 1, 1], gram[:, 1, 2], gram[:, 2, 2]
+    minor_a = d * f - e * e
+    det = a * minor_a + b * (c * e - b * f) + c * (b * e - c * d)
+    minors = minor_a + (a * f - c * c) + (a * d - b * b)
+    trace = a + d + f
+    floor = trace**3 / (27.0 * _MAX_GRAM_COND**2)
+    return det > np.maximum(trace * minors / _MAX_GRAM_COND, floor)
+
+
 def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Pick the best frequency from a fixed grid by linear projection.
 
     For each candidate w the model ``c0 + a*sin(wx) + b*cos(wx)`` is linear;
     the candidate with the smallest residual seeds the nonlinear refinement.
     The grid spans [0.1, 10] times the fundamental 2*pi/span.
+
+    The whole grid is ranked first from the 3x3 normal equations, with the
+    residual taken as ``y.y - coef.(X^T y)``, ``_SCAN_BLOCK`` frequencies at a
+    time. That score is exact only up to rounding, so the candidates are
+    re-scored with ``lstsq`` in grid order and the first smallest residual
+    wins: every frequency scoring within ``max(1e-6*|best|, 1e-9*y.y)`` of
+    the best, and every frequency whose Gram matrix is too ill-conditioned
+    for its score to be trusted. The pick is therefore the one an ``lstsq``
+    at every grid frequency would make.
     """
-    span = float(x.max() - x.min())
-    base = TWO_PI / span
+    grid = _frequency_grid(float(x.max()) - float(x.min()))
+    assert grid is not None
+    gram = np.empty((grid.size, 3, 3))
+    rhs = np.empty((grid.size, 3))
+    gram[:, 0, 0] = x.size
+    rhs[:, 0] = y.sum()
+    for start in range(0, grid.size, _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        wx = np.multiply.outer(grid[block], x)
+        sin_wx = np.sin(wx)
+        cos_wx = np.cos(wx)
+        g = gram[block]
+        g[:, 0, 1] = g[:, 1, 0] = sin_wx.sum(axis=1)
+        g[:, 0, 2] = g[:, 2, 0] = cos_wx.sum(axis=1)
+        g[:, 1, 1] = np.einsum("ij,ij->i", sin_wx, sin_wx)
+        g[:, 1, 2] = g[:, 2, 1] = np.einsum("ij,ij->i", sin_wx, cos_wx)
+        g[:, 2, 2] = np.einsum("ij,ij->i", cos_wx, cos_wx)
+        rhs[block, 1] = sin_wx @ y
+        rhs[block, 2] = cos_wx @ y
+    trusted = _trusted_grams(gram)
+    gram[~trusted] = np.eye(3)  # re-scored anyway; keeps solve from raising
+    coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    yy = float(y @ y)
+    score = yy - np.einsum("ij,ij->i", coef, rhs)
+    best_score = float(np.min(score, where=trusted, initial=math.inf))
+    limit = best_score + max(1e-6 * abs(best_score), 1e-9 * yy)
+
     best_sse = math.inf
     best: tuple[float, np.ndarray] | None = None
     ones = np.ones_like(x)
-    for w in np.linspace(0.1 * base, 10.0 * base, _FREQ_SCAN_POINTS):
+    for w in grid[~trusted | ~(score > limit)]:
         design = np.column_stack([ones, np.sin(w * x), np.cos(w * x)])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - design @ coef
@@ -84,8 +154,10 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 
 def can_fit(deltas: "list[float]") -> bool:
     """Whether :func:`fit_sine` accepts a sweep over these deltas: at least
-    8 points and at least 2 distinct deltas."""
-    return len(deltas) >= _MIN_FIT_POINTS and len(set(deltas)) >= 2
+    8 points, at least 2 distinct deltas, and a span max - min that gives a
+    finite frequency grid (see :func:`_frequency_grid`)."""
+    return (len(deltas) >= _MIN_FIT_POINTS and len(set(deltas)) >= 2
+            and _frequency_grid(float(max(deltas)) - float(min(deltas))) is not None)
 
 
 def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit:
@@ -106,6 +178,9 @@ def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit:
     y = pts[:, 1]
     if np.unique(x).size < 2:
         raise ValueError("need at least 2 distinct deltas to fit")
+    span = float(x.max()) - float(x.min())
+    if _frequency_grid(span) is None:
+        raise ValueError(f"delta span {span!r} gives no finite frequency grid to fit")
 
     w, coef = _scan_frequency(x, y)
     c0, a, b = (float(v) for v in coef)

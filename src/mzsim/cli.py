@@ -156,7 +156,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if can_fit([d for d, _ in pairs]):
         _print_fit(fit_sine(pairs), 6)
     else:
-        print("fit: skipped (needs at least 8 rows with 2 distinct deltas)")
+        print("fit: skipped (needs at least 8 rows with 2 distinct deltas and a finite span)")
     print(f"visibility: {visibility([f for _, f in pairs]):.6f}")
     print("delta,d1_fraction,ci_lo,ci_hi")
     for p in points:

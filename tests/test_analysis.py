@@ -1,13 +1,17 @@
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzsim import analysis
 from mzsim.analysis import (
+    _scan_frequency,
     binomial_ci,
+    can_fit,
     compare_to_qm,
     fit_sine,
     qm_reference,
@@ -59,6 +63,34 @@ def test_ci_rejects_bad_arguments():
         binomial_ci(-1, 4)
     with pytest.raises(ValueError):
         binomial_ci(1, 4, confidence=1.0)
+
+
+@pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+def test_ci_matches_the_uncached_quantile(confidence):
+    for successes, trials in [(0, 7), (3, 7), (50_000, 100_000), (99_999, 100_000)]:
+        p = successes / trials
+        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+        half = z * math.sqrt(p * (1.0 - p) / trials)
+        assert binomial_ci(successes, trials, confidence) == (max(0.0, p - half), min(1.0, p + half))
+
+
+def test_ci_computes_the_quantile_once_per_confidence(monkeypatch):
+    quantiles = []
+
+    class CountingNormalDist(NormalDist):
+        def inv_cdf(self, p):
+            quantiles.append(p)
+            return super().inv_cdf(p)
+
+    monkeypatch.setattr(analysis, "NormalDist", CountingNormalDist)
+    analysis._z_value.cache_clear()
+    try:
+        for successes in range(200):
+            binomial_ci(successes, 200, 0.9)
+            binomial_ci(successes, 200, 0.99)
+    finally:
+        analysis._z_value.cache_clear()
+    assert quantiles == [0.5 + 0.9 / 2.0, 0.5 + 0.99 / 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +179,95 @@ def test_fit_rejects_too_few_points():
 def test_fit_rejects_degenerate_deltas():
     with pytest.raises(ValueError):
         fit_sine([(1.0, 0.1)] * 10)
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 5e-324), (-1e308, 1e308), (0.0, 1e-307)])
+def test_fit_rejects_a_span_with_no_finite_frequency_grid(low, high):
+    deltas = [low, high] * 4
+    assert not can_fit(deltas)
+    with pytest.raises(ValueError, match="delta span"):
+        fit_sine([(d, 0.1 * i) for i, d in enumerate(deltas)])
+
+
+# ---------------------------------------------------------------------------
+# frequency scan
+
+
+def reference_scan(x, y):
+    """The scan as one ``lstsq`` per grid frequency, first smallest residual
+    winning: the result ``_scan_frequency`` must reproduce bit for bit."""
+    span = float(x.max() - x.min())
+    base = TWO_PI / span
+    best_sse = math.inf
+    best = None
+    ones = np.ones_like(x)
+    for w in np.linspace(0.1 * base, 10.0 * base, 512):
+        design = np.column_stack([ones, np.sin(w * x), np.cos(w * x)])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ coef
+        sse = float(resid @ resid)
+        if sse < best_sse:
+            best_sse = sse
+            best = (float(w), coef)
+    return best
+
+
+def assert_scan_matches_reference(x, y):
+    w, coef = _scan_frequency(x, y)
+    ref_w, ref_coef = reference_scan(x, y)
+    assert w == ref_w
+    assert np.array_equal(coef, ref_coef)
+
+
+@st.composite
+def scan_inputs(draw):
+    n = draw(st.integers(8, 1200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacing = draw(st.sampled_from(["even", "uneven", "repeated-even", "repeated-uneven"]))
+    if spacing == "even":
+        x = np.linspace(0.0, rng.uniform(0.5, 30.0), n)
+    elif spacing == "uneven":
+        x = np.sort(rng.uniform(-5.0, 20.0, n))
+    else:  # down to 2 distinct deltas, where every Gram matrix is singular
+        k = draw(st.integers(2, 6))
+        if spacing == "repeated-even":
+            levels = np.linspace(0.0, float(rng.integers(1, 12)), k)
+        else:
+            levels = rng.uniform(-5.0, 20.0, k)
+        x = levels[np.arange(n) % k]
+    shape = draw(st.sampled_from(["sine", "flat", "quantised"]))
+    if shape == "flat":
+        y = np.full(n, rng.uniform(0.0, 1.0))
+    else:
+        y = 0.5 + rng.uniform(0.0, 0.5) * np.sin(rng.uniform(0.1, 5.0) * x + rng.uniform(0.0, TWO_PI))
+        y = y + rng.normal(0.0, draw(st.floats(0.0, 0.3)), n)
+        if shape == "quantised":
+            y = np.round(y, 1)
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_inputs())
+def test_scan_matches_one_lstsq_per_frequency(inputs):
+    assert_scan_matches_reference(*inputs)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        # At the top grid frequency w*1.75 = 5*pi, so the five deltas land on
+        # two points of the circle and the Gram matrix is singular up to
+        # rounding; ranked by its normal-equations score it would wrongly win.
+        ([0.0, 1.75, 3.5, 5.25, 7.0, 0.0, 1.75, 3.5], [0.2, 0.2, 0.8, 0.9, 0.3, 0.8, 0.9, 0.5]),
+        # With two deltas every Gram matrix is singular, and at the top grid
+        # frequency (w*span = 20*pi) it has rank 1: its determinant is
+        # rounding noise that a condition-number test alone would pass.
+        ([-2.79, -2.47] * 4, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]),
+    ],
+    ids=["aliased-deltas", "two-deltas"],
+)
+def test_scan_rescores_frequencies_whose_gram_is_ill_conditioned(x, y):
+    assert_scan_matches_reference(np.array(x), np.array(y))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -192,6 +193,27 @@ def test_zero_span_sweep_skips_the_fit(tmp_path, capsys):
     assert data["analysis"]["fit"] is None
     assert data["analysis"]["qm"]["fitted_period"] is None
     assert [p["delta"] for p in data["points"]] == [0.0] * 8
+
+
+@pytest.mark.parametrize("low, high", [("0.0", "5e-324"), ("-1e308", "1e308")],
+                         ids=["subnormal-span", "overflowing-span"])
+def test_span_with_no_finite_frequency_grid_skips_the_fit(tmp_path, capfd, low, high):
+    # 8 rows alternating between two deltas whose span max - min is either
+    # too small for 2*pi/span or too large for a double
+    rows = [f"{(low, high)[d1 % 2]},{d1},{10 - d1},{d1 / 10},0.1,0.9" for d1 in range(2, 10)]
+    path = tmp_path / "span.csv"
+    path.write_text("delta,d1,d2,d1_fraction,ci_lo,ci_hi\n" + "\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("analyze", str(path)) == 0
+        analyze = capfd.readouterr()
+        assert run_cli("compare-qm", str(path)) == 0
+        compare = capfd.readouterr()
+    assert analyze.err == compare.err == ""
+    assert analyze.out.splitlines()[0] == (
+        "fit: skipped (needs at least 8 rows with 2 distinct deltas and a finite span)"
+    )
+    assert compare.out.splitlines()[-1] == "period: fit skipped, ideal=6.283185"
 
 
 def test_sweep_json_fit_block_has_the_fit_fields(tmp_path):
