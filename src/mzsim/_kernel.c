@@ -1,22 +1,61 @@
 /* The per-photon stream loop of mzsim.experiment, compiled.
  *
- * This is experiment._run_stream_py statement for statement, on the same
- * IEEE doubles, so its outcomes are bit for bit those of the Python loop.
- * That holds only without -ffast-math and with -ffp-contract=off: a fused
- * multiply-add rounds once where Python rounds twice.
+ * Its outcomes are bit for bit those of the Python loop
+ * (experiment._run_stream_py): it does the same IEEE double operations in
+ * the same order. Two rules keep it so. There is no -ffast-math, and
+ * -ffp-contract=off stops the compiler fusing a*p + b*s into one
+ * multiply-add, which would round once where Python rounds twice. The one
+ * fused multiply-add is the explicit fma() in rem, which is exact by
+ * construction (see there).
  */
 #include <math.h>
 #include <stdint.h>
 
+/* On x86-64 with glibc, each exported function is built twice, with and
+ * without FMA instructions, and the dynamic loader picks the build for this
+ * CPU when the library loads. Elsewhere there is only the default build,
+ * where fma() and trunc() are calls into libm. fma() is correctly rounded
+ * either way, so both builds give the same bits. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define FMA_CLONES __attribute__((target_clones("fma", "default")))
+#endif
+#endif
+#ifndef FMA_CLONES
+#define FMA_CLONES
+#endif
+
 static const double PI = 3.141592653589793;          /* math.pi */
 static const double TWO_PI = 2.0 * 3.141592653589793; /* phases.TWO_PI */
+static const double INV_TWO_PI = 1.0 / (2.0 * 3.141592653589793);
 static const double WRAP_SNAP = 1e-12;                /* phases.WRAP_SNAP */
+
+/* fmod(x, TWO_PI), bit for bit except that a zero result is always +0.0.
+ *
+ * k is x / TWO_PI truncated, from a multiply by the reciprocal. For
+ * |x| < 2^50 it is the true truncated quotient or one off. fma rounds the
+ * exact x - k*TWO_PI once. With the true k that value is fmod's, which is
+ * representable, so the rounding keeps it. With k one off the value falls
+ * outside fmod's range, [0, TWO_PI) for x >= 0 and (-TWO_PI, 0] for x < 0;
+ * then k steps once, towards the side r fell on, and fma runs again, so the
+ * same argument holds for the result. Larger |x|, infinities and NaN go to
+ * fmod. */
+static inline __attribute__((always_inline)) double rem(double x)
+{
+    if (!(fabs(x) < 0x1p50))
+        return fmod(x, TWO_PI);
+    double k = trunc(x * INV_TWO_PI);
+    double r = fma(-k, TWO_PI, x);
+    if (x >= 0.0 ? r < 0.0 || r >= TWO_PI : r > 0.0 || r <= -TWO_PI)
+        r = fma(-(k + (r > 0.0 ? 1.0 : -1.0)), TWO_PI, x);
+    return r;
+}
 
 /* Python's float x % TWO_PI (fmod, then the sign of the divisor), then the
  * snap of phases.wrap_phase: a value just below TWO_PI becomes 0. */
-static double wrap(double x)
+static inline __attribute__((always_inline)) double wrap(double x)
 {
-    double r = fmod(x, TWO_PI);
+    double r = rem(x);
     if (r == 0.0)
         r = copysign(0.0, TWO_PI);
     else if (r < 0.0)
@@ -24,9 +63,18 @@ static double wrap(double x)
     return TWO_PI - r < WRAP_SNAP ? 0.0 : r;
 }
 
+/* out[i] = wrap(x[i]), for the tests. */
+FMA_CLONES
+void wrap_array(const double *x, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = wrap(x[i]);
+}
+
 /* Stream n photons through BS1 and, if mzi, BS2. bs1_out[i] and bs2_out[i]
  * are 1 where photon i reflected at that splitter; bs2_out is not written
  * unless mzi. xi1 and xi2 are the splitters' wrapped initial offsets. */
+FMA_CLONES
 void run_stream(const double *emissions, const double *offsets, int64_t n,
                 double nu_p, double base, double delta,
                 double nu1, double a1, double b1, double xi1,

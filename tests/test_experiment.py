@@ -190,6 +190,45 @@ def test_stream_loop_matches_interact_reference(loop, mzi, config):
     assert trace == reference
 
 
+fast_splitters = st.builds(
+    SplitterConfig,
+    frequency=st.floats(5e12, 1e13),
+    initial_offset=finite,
+    update_alpha=st.floats(-2.0, 2.0),
+    update_beta=st.floats(-2.0, 2.0),
+)
+streams_past_2_to_50 = st.builds(
+    ExperimentConfig,
+    photon_count=st.integers(400, 600),
+    source_rate=st.floats(0.5, 1.0),
+    inter_arrival_law=st.just("fixed"),
+    particle_frequency=st.floats(5e12, 1e13),
+    particle_initial_phase=st.none() | finite,
+    bs1=fast_splitters,
+    bs2=fast_splitters,
+    base_path_length=st.floats(0.0, 5.0),
+    delta=st.floats(0.0, 50.0),
+    master_seed=st.integers(0, 2**64 - 1),
+)
+
+
+@pytest.mark.parametrize("mzi", [True, False], ids=["mzi", "single-bs"])
+@settings(max_examples=20, deadline=None)
+@given(config=streams_past_2_to_50)
+def test_stream_loop_matches_reference_where_phases_pass_2_to_50(mzi, config):
+    """The kernel reduces phases with its own remainder below 2**50 and with
+    fmod above; a stream whose nu*t climbs past 2**50 crosses both."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: run_mzi runs the Python loop")
+    emissions, _ = _prepare_stream(config)
+    t_last = emissions[-1] + config.base_path_length
+    assert config.particle_frequency * emissions[0] < 2**50 < config.particle_frequency * t_last
+    counts, trace = compiled_loop(config, mzi)
+    d1, d2, reference = reference_stream(config, mzi)
+    assert counts == (d1, d2)
+    assert trace == reference
+
+
 def test_reversed_stream_changes_splitter_memory():
     # same photon set, opposite processing order: the states the splitters
     # accumulate differ, so later outcomes differ

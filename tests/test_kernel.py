@@ -1,9 +1,11 @@
 """The compiled stream loop: how it is built, shared and replaced.
 
 That its outcomes equal the Python loop's is checked photon for photon by
-``test_experiment.test_stream_loop_matches_interact_reference``.
+``test_experiment.test_stream_loop_matches_interact_reference``; here its
+phase reduction ``wrap`` is checked against ``phases.wrap_phase`` directly.
 """
 
+import ctypes
 import os
 import shutil
 import subprocess
@@ -13,13 +15,16 @@ from dataclasses import replace
 from fnmatch import fnmatch
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mzsim import experiment
 from mzsim.config import ExperimentConfig
-from mzsim.experiment import _load_kernel, run_mzi
+from mzsim.experiment import _load_kernel, _prepare_stream, _stream_params, run_mzi
+from mzsim.phases import TWO_PI, wrap_phase
 
 CC = shutil.which("cc")
+needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH")
 
 
 @pytest.fixture
@@ -57,7 +62,7 @@ def test_failed_build_falls_back_to_the_python_loop_with_one_warning(
     assert [p.name for p in tmp_path.rglob("*") if p.suffix in (".so", ".tmp")] == []
 
 
-@pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH")
+@needs_cc
 def test_concurrent_first_compile_leaves_one_library(tmp_path):
     # Three fresh interpreters, no cached library: all compile at once.
     pkg = tmp_path / "mzsim"
@@ -93,7 +98,7 @@ def test_concurrent_first_compile_leaves_one_library(tmp_path):
     assert len(left) == 1 and fnmatch(left[0], "_kernel-*.so"), left
 
 
-@pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH")
+@needs_cc
 def test_kernel_compiles_without_warnings(tmp_path):
     done = subprocess.run(
         [CC, *experiment._CFLAGS, "-Wall", "-Wextra", "-Werror",
@@ -101,3 +106,82 @@ def test_kernel_compiles_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def wrap_cases() -> np.ndarray:
+    """About 1.7 million doubles that probe the kernel's phase reduction:
+    the ranges the loop sees, every exponent, the neighbours of multiples
+    of TWO_PI up to the fmod fallback at 2**50, and the edges."""
+    rng = np.random.default_rng(2005)
+    n = 150_000
+    sign = rng.choice([-1.0, 1.0], 2 * n)
+    k = rng.integers(-(2**49 // 7), 2**49 // 7, n).astype(np.float64)
+    multiples = k * TWO_PI
+    up = np.nextafter(multiples, np.inf)
+    edges = [2.0**50, -(2.0**50), 2.0**50 - 1, 0.0, -0.0, 5e-324, -5e-324,
+             1e300, -1e300, TWO_PI, -TWO_PI, np.pi, -np.pi]
+    return np.concatenate([
+        rng.uniform(-1e4, 1e4, 400_000),
+        rng.uniform(-TWO_PI, TWO_PI, 400_000),
+        sign * np.ldexp(rng.uniform(0.5, 1.0, 2 * n), rng.integers(-1074, 1024, 2 * n)),
+        multiples, up, np.nextafter(multiples, -np.inf), np.nextafter(up, np.inf),
+        edges,
+    ])
+
+
+def kernel_functions():
+    """``(run_stream, wrap_array)`` of the library built from
+    ``experiment._KERNEL_SOURCE``, with their argument types set."""
+    run = _load_kernel()
+    assert run is not None, "the compiled kernel did not load"
+    wrap_array = ctypes.CDLL(str(experiment._build_kernel())).wrap_array
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    wrap_array.argtypes = [doubles, ctypes.c_int64, doubles]
+    wrap_array.restype = None
+    return run, wrap_array
+
+
+def call_wrap(wrap_array, x):
+    out = np.empty_like(x)
+    wrap_array(x, x.size, out)
+    return out
+
+
+def call_run_stream(run, config):
+    emissions, offsets = _prepare_stream(config)
+    n = emissions.size
+    bs1, bs2 = np.empty(n, np.int8), np.zeros(n, np.int8)
+    run(emissions, offsets, n, *_stream_params(config), 1, bs1, bs2)
+    return bs1, bs2
+
+
+@needs_cc
+def test_kernel_wrap_equals_wrap_phase_bit_for_bit(fresh_loader):
+    # wrap_phase is x % TWO_PI plus the snap; the bits, zero signs included,
+    # must match, or a phase somewhere in a stream rounds differently
+    x = wrap_cases()
+    expected = np.array([wrap_phase(v) for v in x.tolist()])
+    got = call_wrap(kernel_functions()[1], x)
+    mismatched = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+    assert mismatched.size == 0, [(x[i], got[i], expected[i]) for i in mismatched[:5]]
+
+
+@needs_cc
+def test_default_clone_equals_the_clone_picked_at_load(tmp_path, monkeypatch, fresh_loader):
+    # Where the CPU has FMA the loader never runs the default (non-FMA)
+    # build, so build the source without the clones and compare the two.
+    shipped = kernel_functions()
+    source = experiment._KERNEL_SOURCE.read_text().splitlines(keepends=True)
+    kept = [line for line in source if 'target_clones("' not in line]
+    assert len(kept) == len(source) - 1
+    copy = tmp_path / "_kernel.c"
+    copy.write_text("".join(kept))
+    monkeypatch.setattr(experiment, "_KERNEL_SOURCE", copy)
+    _load_kernel.cache_clear()
+    default = kernel_functions()
+
+    x = wrap_cases()
+    assert call_wrap(shipped[1], x).tobytes() == call_wrap(default[1], x).tobytes()
+    cfg = replace(ExperimentConfig(), delta=1.5)
+    for ours, theirs in zip(call_run_stream(shipped[0], cfg), call_run_stream(default[0], cfg)):
+        assert np.array_equal(ours, theirs)
