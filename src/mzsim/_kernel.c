@@ -1,8 +1,10 @@
 /* The per-photon stream loop of mzsim.experiment, compiled.
  *
- * Its outcomes are bit for bit those of the Python loop
- * (experiment._run_stream_py): it does the same IEEE double operations in
- * the same order. Two rules keep it so. There is no -ffast-math, and
+ * Its outcomes are bit for bit those of the Python reference loop
+ * (experiment._run_stream_py, written with optics.interact): it does the
+ * same IEEE double operations in the same order, except that it skips the
+ * photon's phase update on a reflection at BS2, which no outcome reads.
+ * Two rules keep it so. There is no -ffast-math, and
  * -ffp-contract=off stops the compiler fusing a*p + b*s into one
  * multiply-add, which would round once where Python rounds twice. The one
  * fused multiply-add is the explicit fma() in rem, which is exact by

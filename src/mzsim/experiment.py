@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .optics import DetectorCounts, generate_emissions
+from .optics import DetectorCounts, generate_emissions, interact
 from .phases import TWO_PI, WRAP_SNAP, wrap_phase
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -171,15 +171,13 @@ def _run_stream(
     photon. The loop runs in the compiled kernel (``_kernel.c``), which
     writes each photon's BS1 and BS2 outcome to an int8 array; counts and
     trace rows are read from those. Where the kernel cannot be built it
-    runs in :func:`_run_stream_py`, with a warning.
+    runs in :func:`_run_stream_py`, the ``interact`` reference, with a warning.
     """
     if phase_offsets.shape != emissions.shape or emissions.ndim != 1:
         raise ValueError("emissions and phase offsets must be 1-d arrays of one length")
     kernel = _load_kernel()
     if kernel is None:
-        return _run_stream_py(
-            emissions.tolist(), phase_offsets.tolist(), config, mzi=mzi, want_trace=want_trace
-        )
+        return _run_stream_py(emissions, phase_offsets, config, mzi=mzi, want_trace=want_trace)
     n = emissions.size
     bs1 = np.empty(n, np.int8)
     bs2 = np.zeros(n, np.int8)
@@ -193,99 +191,40 @@ def _run_stream(
 
 
 def _run_stream_py(
-    emissions: list[float],
-    phase_offsets: list[float],
+    emissions: np.ndarray,
+    phase_offsets: np.ndarray,
     config: ExperimentConfig,
     *,
     mzi: bool,
     want_trace: bool,
 ) -> tuple[int, int, list[Outcome] | None]:
-    """The stream loop in Python, on lists of floats: the reference the
-    compiled kernel is tested against, and its fallback.
+    """The stream loop written with :func:`mzsim.optics.interact`: the
+    reference the compiled kernel is tested against, and its fallback.
 
-    At each splitter this applies :func:`mzsim.optics.interact` to the
-    photon's and the splitter's phases at the interaction time, then rebases
-    the offsets of whatever changed (``wrap(phase - nu*t)``). It inlines that
-    rule and the wrap-and-snap of :func:`mzsim.phases.wrap_phase` on plain
-    floats; a property test checks it photon for photon against an
-    ``interact``-based reference loop.
+    Each splitter keeps the offset of its oscillator ``nu*t + offset``. At
+    each splitter the photon's and the splitter's wrapped phases at the
+    interaction time go through ``interact``; a reflection rebases both
+    offsets to the phases it returns (``wrap(phase - nu*t)``).
     """
-    nu_p, base, delta, nu1, a1, b1, xi1, nu2, a2, b2, xi2 = _stream_params(config)
-
-    two_pi = TWO_PI
-    pi = math.pi
-    snap = WRAP_SNAP
-
-    d1 = 0
-    d2 = 0
+    nu, base, delta = config.particle_frequency, config.base_path_length, config.delta
+    splitters = [config.bs1, config.bs2][: 1 + mzi]
+    xi = [wrap_phase(sp.initial_offset) for sp in splitters]
+    counts = [0, 0]
     trace: list[Outcome] | None = [] if want_trace else None
-
-    for i in range(len(emissions)):
-        t1 = emissions[i] + base
-        p = (nu_p * t1 + phase_offsets[i]) % two_pi
-        if two_pi - p < snap:
-            p = 0.0
-        s = (nu1 * t1 + xi1) % two_pi
-        if two_pi - s < snap:
-            s = 0.0
-        diff = (p - s) % two_pi
-        if two_pi - diff < snap:
-            diff = 0.0
-        if diff < pi:
-            first = True
-            p_new = (a1 * p + b1 * s) % two_pi
-            if two_pi - p_new < snap:
-                p_new = 0.0
-            s_new = (a1 * s + b1 * p) % two_pi
-            if two_pi - s_new < snap:
-                s_new = 0.0
-            phi = (p_new - nu_p * t1) % two_pi
-            if two_pi - phi < snap:
-                phi = 0.0
-            xi1 = (s_new - nu1 * t1) % two_pi
-            if two_pi - xi1 < snap:
-                xi1 = 0.0
-            seg = base
-        else:
-            first = False
-            phi = phase_offsets[i]
-            seg = base + delta
-
-        if not mzi:
-            if first:
-                d1 += 1
-            else:
-                d2 += 1
-            if want_trace:
-                trace.append((emissions[i], first, None))
-            continue
-
-        t2 = t1 + seg
-        p2 = (nu_p * t2 + phi) % two_pi
-        if two_pi - p2 < snap:
-            p2 = 0.0
-        s2 = (nu2 * t2 + xi2) % two_pi
-        if two_pi - s2 < snap:
-            s2 = 0.0
-        diff2 = (p2 - s2) % two_pi
-        if two_pi - diff2 < snap:
-            diff2 = 0.0
-        if diff2 < pi:
-            second = True
-            d1 += 1
-            s2_new = (a2 * s2 + b2 * p2) % two_pi
-            if two_pi - s2_new < snap:
-                s2_new = 0.0
-            xi2 = (s2_new - nu2 * t2) % two_pi
-            if two_pi - xi2 < snap:
-                xi2 = 0.0
-        else:
-            second = False
-            d2 += 1
+    for emitted, phi in zip(emissions.tolist(), phase_offsets.tolist()):
+        t = emitted + base
+        outcomes = []
+        for k, sp in enumerate(splitters):
+            p, s = wrap_phase(nu * t + phi), wrap_phase(sp.frequency * t + xi[k])
+            reflected, p, s = interact(p, s, sp.update_alpha, sp.update_beta)
+            if reflected:
+                phi, xi[k] = wrap_phase(p - nu * t), wrap_phase(s - sp.frequency * t)
+            outcomes.append(reflected)
+            t += base if reflected else base + delta
+        counts[not outcomes[-1]] += 1
         if want_trace:
-            trace.append((emissions[i], first, second))
-
-    return d1, d2, trace
+            trace.append((emitted, outcomes[0], outcomes[1] if mzi else None))
+    return counts[0], counts[1], trace
 
 
 def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
@@ -311,15 +250,19 @@ def _prepare_stream(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return emissions, _initial_offsets(config, rng)
 
 
+def _run(config: ExperimentConfig, *, mzi: bool, trace: bool) -> Run:
+    config.validate()
+    emissions, offsets = _prepare_stream(config)
+    d1, d2, tr = _run_stream(emissions, offsets, config, mzi=mzi, want_trace=trace)
+    return DetectorCounts(d1, d2), tr
+
+
 def run_single_bs(config: ExperimentConfig, trace: bool = False) -> Run:
     """Stream all photons against the first splitter only.
 
     Reflections count to D1, transmissions to D2.
     """
-    config.validate()
-    emissions, offsets = _prepare_stream(config)
-    d1, d2, tr = _run_stream(emissions, offsets, config, mzi=False, want_trace=trace)
-    return DetectorCounts(d1, d2), tr
+    return _run(config, mzi=False, trace=trace)
 
 
 def run_mzi(config: ExperimentConfig, trace: bool = False) -> Run:
@@ -331,10 +274,7 @@ def run_mzi(config: ExperimentConfig, trace: bool = False) -> Run:
     transmission clicks D2. Both splitters keep their own evolving state for
     the whole stream, so photons are processed strictly in emission order.
     """
-    config.validate()
-    emissions, offsets = _prepare_stream(config)
-    d1, d2, tr = _run_stream(emissions, offsets, config, mzi=True, want_trace=trace)
-    return DetectorCounts(d1, d2), tr
+    return _run(config, mzi=True, trace=trace)
 
 
 def _sweep_point(config: ExperimentConfig) -> SweepPoint:

@@ -87,13 +87,13 @@ def write_json(record: dict, path: str | os.PathLike) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(record: dict, path: str | os.PathLike, confidence: float = 0.95) -> None:
+def write_csv(record: dict, path: str | os.PathLike) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for p in record["points"]:
-                ci = binomial_ci(p["d1"], p["d1"] + p["d2"], confidence)
+                ci = binomial_ci(p["d1"], p["d1"] + p["d2"])
                 row = (p["delta"], p["d1"], p["d2"], p["d1_fraction"], *ci)
                 writer.writerow([repr(v) for v in row])
     except OSError as exc:

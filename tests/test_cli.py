@@ -308,6 +308,25 @@ def test_invalid_photon_count_is_reported(capsys):
     assert "photon_count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_photon_count_too_large_to_allocate_is_a_single_line_error(tmp_path, capsys, source):
+    # 1e14 float64 emissions need 728 TiB, more than the address space holds,
+    # so the allocation fails at once without taking any memory
+    photons = 10**14
+    if source == "flag":
+        argv = ("mzi", "--photons", str(photons))
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"photon_count": photons}))
+        argv = ("mzi", "--config", str(cfg_path))
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_analyze_missing_file_fails(tmp_path, capsys):
     assert run_cli("analyze", str(tmp_path / "none.csv")) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -21,8 +21,8 @@ from mzsim.experiment import (
     _run_stream,
     _run_stream_py,
 )
-from mzsim.optics import generate_emissions, interact
-from mzsim.phases import TWO_PI, wrap_phase
+from mzsim.optics import generate_emissions
+from mzsim.phases import TWO_PI
 
 
 def small_config(**overrides):
@@ -105,32 +105,9 @@ def test_mzi_rejects_invalid_config():
 
 
 def reference_stream(config, mzi):
-    """The apparatus written with :func:`interact`: ``(d1, d2, trace)``,
-    with trace rows ``(emitted_at, reflected_at_bs1, reflected_at_bs2|None)``.
-
-    Each splitter keeps the offset of its oscillator ``nu*t + offset``; a
-    reflection rebases the offsets of photon and splitter to the phases that
-    ``interact`` returns.
-    """
-    nu, base = config.particle_frequency, config.base_path_length
-    splitters = [config.bs1, config.bs2]
-    xi = [wrap_phase(sp.initial_offset) for sp in splitters]
-    counts = [0, 0]
-    trace = []
+    """``(d1, d2, trace)`` of the ``interact``-based reference loop."""
     emissions, offsets = _prepare_stream(config)
-    for emitted, phi in zip(emissions.tolist(), offsets.tolist()):
-        t = emitted + base
-        outcomes = []
-        for k, sp in enumerate(splitters[: 1 + mzi]):
-            p, s = wrap_phase(nu * t + phi), wrap_phase(sp.frequency * t + xi[k])
-            reflected, p, s = interact(p, s, sp.update_alpha, sp.update_beta)
-            if reflected:
-                phi, xi[k] = wrap_phase(p - nu * t), wrap_phase(s - sp.frequency * t)
-            outcomes.append(reflected)
-            t += base if reflected else base + config.delta
-        counts[not outcomes[-1]] += 1
-        trace.append((emitted, outcomes[0], outcomes[1] if mzi else None))
-    return counts[0], counts[1], trace
+    return _run_stream_py(emissions, offsets, config, mzi=mzi, want_trace=True)
 
 
 finite = st.floats(-50.0, 50.0)
@@ -156,35 +133,21 @@ configs = st.builds(
 )
 
 
-def python_loop(config, mzi):
-    emissions, offsets = _prepare_stream(config)
-    d1, d2, trace = _run_stream_py(
-        emissions.tolist(), offsets.tolist(), config, mzi=mzi, want_trace=True
-    )
-    return (d1, d2), trace
-
-
 def compiled_loop(config, mzi):
     assert _load_kernel() is not None, "the compiled kernel did not load"
     counts, trace = (run_mzi if mzi else run_single_bs)(config, trace=True)
     return (counts.d1, counts.d2), trace
 
 
-@pytest.mark.parametrize(
-    "loop, mzi",
-    [pytest.param(compiled_loop, True, id="mzi"),
-     pytest.param(compiled_loop, False, id="single-bs"),
-     pytest.param(python_loop, True, id="python-loop-mzi"),
-     pytest.param(python_loop, False, id="python-loop-single-bs")],
-)
+@pytest.mark.parametrize("mzi", [True, False], ids=["mzi", "single-bs"])
 @settings(max_examples=60, deadline=None)
 @given(config=configs)
-def test_stream_loop_matches_interact_reference(loop, mzi, config):
-    """The compiled kernel (what run_mzi runs) and the inlined Python loop
-    each agree exactly with the interact-based reference."""
-    if loop is compiled_loop and shutil.which("cc") is None:
-        pytest.skip("no C compiler: run_mzi runs the Python loop")
-    counts, trace = loop(config, mzi)
+def test_stream_loop_matches_interact_reference(mzi, config):
+    """The compiled kernel (what run_mzi runs) agrees exactly with the
+    interact-based reference loop."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: run_mzi runs the reference loop")
+    counts, trace = compiled_loop(config, mzi)
     d1, d2, reference = reference_stream(config, mzi)
     assert counts == (d1, d2)
     assert trace == reference
@@ -219,7 +182,7 @@ def test_stream_loop_matches_reference_where_phases_pass_2_to_50(mzi, config):
     """The kernel reduces phases with its own remainder below 2**50 and with
     fmod above; a stream whose nu*t climbs past 2**50 crosses both."""
     if shutil.which("cc") is None:
-        pytest.skip("no C compiler: run_mzi runs the Python loop")
+        pytest.skip("no C compiler: run_mzi runs the reference loop")
     emissions, _ = _prepare_stream(config)
     t_last = emissions[-1] + config.base_path_length
     assert config.particle_frequency * emissions[0] < 2**50 < config.particle_frequency * t_last

@@ -1,11 +1,13 @@
 """The compiled stream loop: how it is built, shared and replaced.
 
-That its outcomes equal the Python loop's is checked photon for photon by
+That its outcomes equal those of the ``interact``-based reference loop is
+checked photon for photon by
 ``test_experiment.test_stream_loop_matches_interact_reference``; here its
 phase reduction ``wrap`` is checked against ``phases.wrap_phase`` directly.
 """
 
 import ctypes
+import functools
 import os
 import shutil
 import subprocess
@@ -20,7 +22,9 @@ import pytest
 
 from mzsim import experiment
 from mzsim.config import ExperimentConfig
-from mzsim.experiment import _load_kernel, _prepare_stream, _stream_params, run_mzi
+from mzsim.experiment import (
+    _load_kernel, _prepare_stream, _stream_params, run_mzi, run_single_bs,
+)
 from mzsim.phases import TWO_PI, wrap_phase
 
 CC = shutil.which("cc")
@@ -39,7 +43,12 @@ def test_failed_build_falls_back_to_the_python_loop_with_one_warning(
     tmp_path, monkeypatch, fresh_loader, failure
 ):
     cfg = replace(ExperimentConfig(), photon_count=3000, delta=1.5, master_seed=5)
-    expected = run_mzi(cfg, trace=True)
+    runs = [
+        functools.partial(run_mzi, cfg, trace=True),
+        functools.partial(run_single_bs, cfg, trace=True),
+        functools.partial(run_mzi, cfg),
+    ]
+    expected = [run() for run in runs]
     _load_kernel.cache_clear()
     source = tmp_path / "_kernel.c"  # no cached library beside it
     shutil.copyfile(experiment._KERNEL_SOURCE, source)
@@ -52,11 +61,9 @@ def test_failed_build_falls_back_to_the_python_loop_with_one_warning(
         (tmp_path / "__pycache__").write_text("")  # a file where the cache goes
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        first = run_mzi(cfg, trace=True)
-        second = run_mzi(cfg, trace=True)
+        fallback = [run() for run in runs]
     assert _load_kernel() is None
-    assert first == expected
-    assert second == expected
+    assert fallback == expected
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "Python loop" in str(caught[0].message)
     assert [p.name for p in tmp_path.rglob("*") if p.suffix in (".so", ".tmp")] == []
