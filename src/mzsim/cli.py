@@ -82,11 +82,14 @@ def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg.validate()
 
 
+def _out_format(args: argparse.Namespace) -> str:
+    if args.format is not None:
+        return args.format
+    return "json" if str(args.out).endswith(".json") else "csv"
+
+
 def _emit(record: dict, args: argparse.Namespace) -> None:
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if str(args.out).endswith(".json") else "csv"
-    if fmt == "json":
+    if _out_format(args) == "json":
         write_json(record, args.out)
     else:
         write_csv(record, args.out)
@@ -103,6 +106,8 @@ def _print_fit(fit: SineFit, digits: int) -> None:
 
 def _run_one(args: argparse.Namespace) -> int:
     """``single-bs`` and ``mzi``: one run, named by the subcommand."""
+    if args.trace and not (args.out and _out_format(args) == "json"):
+        raise ValueError("--trace needs JSON output (--out PATH.json or --format json)")
     kind = args.command
     cfg = _effective_config(args)
     runner = run_single_bs if kind == "single-bs" else run_mzi

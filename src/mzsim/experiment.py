@@ -163,68 +163,58 @@ def _run_stream(
     *,
     mzi: bool,
     want_trace: bool,
-) -> tuple[int, int, list[Outcome] | None]:
-    """Sequential pass of a photon stream through the apparatus:
-    ``(d1, d2, trace | None)``.
+) -> Run:
+    """Sequential pass of a photon stream through the apparatus: its counts,
+    and its trace if ``want_trace``.
 
     ``emissions`` and ``phase_offsets`` are float64 arrays, one entry per
-    photon. The loop runs in the compiled kernel (``_kernel.c``), which
-    writes each photon's BS1 and BS2 outcome to an int8 array; counts and
-    trace rows are read from those. Where the kernel cannot be built it
-    runs in :func:`_run_stream_py`, the ``interact`` reference, with a warning.
+    photon. The loop runs in the compiled kernel (``_kernel.c``) or, where
+    that cannot be built, in :func:`_run_stream_py`, with a warning. Both
+    take the same arguments and write each photon's BS1 and BS2 outcome to
+    an int8 array; counts and trace rows are read from those.
     """
     if phase_offsets.shape != emissions.shape or emissions.ndim != 1:
         raise ValueError("emissions and phase offsets must be 1-d arrays of one length")
-    kernel = _load_kernel()
-    if kernel is None:
-        return _run_stream_py(emissions, phase_offsets, config, mzi=mzi, want_trace=want_trace)
+    loop = _load_kernel() or _run_stream_py
     n = emissions.size
     bs1 = np.empty(n, np.int8)
     bs2 = np.zeros(n, np.int8)
-    kernel(emissions, phase_offsets, n, *_stream_params(config), mzi, bs1, bs2)
+    loop(emissions, phase_offsets, n, *_stream_params(config), mzi, bs1, bs2)
     d1 = int(np.count_nonzero(bs2 if mzi else bs1))
     trace = None
     if want_trace:
         second = bs2.view(np.bool_).tolist() if mzi else [None] * n
         trace = list(zip(emissions.tolist(), bs1.view(np.bool_).tolist(), second))
-    return d1, n - d1, trace
+    return DetectorCounts(d1, n - d1), trace
 
 
 def _run_stream_py(
-    emissions: np.ndarray,
-    phase_offsets: np.ndarray,
-    config: ExperimentConfig,
-    *,
-    mzi: bool,
-    want_trace: bool,
-) -> tuple[int, int, list[Outcome] | None]:
+    emissions: np.ndarray, offsets: np.ndarray, n: int,
+    nu_p: float, base: float, delta: float,
+    nu1: float, a1: float, b1: float, xi1: float,
+    nu2: float, a2: float, b2: float, xi2: float,
+    mzi: bool, bs1_out: np.ndarray, bs2_out: np.ndarray,
+) -> None:
     """The stream loop written with :func:`mzsim.optics.interact`: the
-    reference the compiled kernel is tested against, and its fallback.
+    reference the compiled kernel is tested against, and its fallback. It
+    takes the kernel's ``run_stream`` arguments and fills the same arrays.
 
     Each splitter keeps the offset of its oscillator ``nu*t + offset``. At
     each splitter the photon's and the splitter's wrapped phases at the
     interaction time go through ``interact``; a reflection rebases both
     offsets to the phases it returns (``wrap(phase - nu*t)``).
     """
-    nu, base, delta = config.particle_frequency, config.base_path_length, config.delta
-    splitters = [config.bs1, config.bs2][: 1 + mzi]
-    xi = [wrap_phase(sp.initial_offset) for sp in splitters]
-    counts = [0, 0]
-    trace: list[Outcome] | None = [] if want_trace else None
-    for emitted, phi in zip(emissions.tolist(), phase_offsets.tolist()):
+    splitters = [(nu1, a1, b1), (nu2, a2, b2)][: 1 + bool(mzi)]
+    xi, outs = [xi1, xi2], (bs1_out, bs2_out)
+    for i, emitted, phi in zip(range(n), emissions.tolist(), offsets.tolist()):
         t = emitted + base
-        outcomes = []
-        for k, sp in enumerate(splitters):
-            p, s = wrap_phase(nu * t + phi), wrap_phase(sp.frequency * t + xi[k])
-            reflected, p, s = interact(p, s, sp.update_alpha, sp.update_beta)
+        for k, (nu, a, b) in enumerate(splitters):
+            p, s = wrap_phase(nu_p * t + phi), wrap_phase(nu * t + xi[k])
+            reflected, p, s = interact(p, s, a, b)
             if reflected:
-                phi, xi[k] = wrap_phase(p - nu * t), wrap_phase(s - sp.frequency * t)
-            outcomes.append(reflected)
+                phi, xi[k] = wrap_phase(p - nu_p * t), wrap_phase(s - nu * t)
+            outs[k][i] = reflected
             t += base if reflected else base + delta
-        counts[not outcomes[-1]] += 1
-        if want_trace:
-            trace.append((emitted, outcomes[0], outcomes[1] if mzi else None))
-    return counts[0], counts[1], trace
 
 
 def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
@@ -253,8 +243,7 @@ def _prepare_stream(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 def _run(config: ExperimentConfig, *, mzi: bool, trace: bool) -> Run:
     config.validate()
     emissions, offsets = _prepare_stream(config)
-    d1, d2, tr = _run_stream(emissions, offsets, config, mzi=mzi, want_trace=trace)
-    return DetectorCounts(d1, d2), tr
+    return _run_stream(emissions, offsets, config, mzi=mzi, want_trace=trace)
 
 
 def run_single_bs(config: ExperimentConfig, trace: bool = False) -> Run:

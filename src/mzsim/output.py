@@ -27,6 +27,7 @@ from .optics import DetectorCounts
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("delta", "d1", "d2", "d1_fraction", "ci_lo", "ci_hi")
 CHILD_SEED_FUNCTION = "splitmix64"
+_MAX_PHOTONS = 2**63 - 1  # the stream loop takes its photon count as an int64_t
 
 
 def build_record(
@@ -104,9 +105,11 @@ def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
     """Read back a results table written by :func:`write_csv`.
 
     Every row must have all six fields, a finite delta and finite interval
-    bounds, integer counts with a positive total, and a ``d1_fraction`` equal
-    to ``d1/(d1+d2)``; anything else is a ValueError naming the file and
-    line. The interval is recomputed from the counts wherever it is used.
+    bounds, integer counts with a total from 1 to ``2**63 - 1`` (the most
+    photons a run can count), and a ``d1_fraction`` equal to ``d1/(d1+d2)``;
+    anything else, a field over the ``csv`` module's size limit included, is
+    a ValueError naming the file and line. The interval is recomputed from
+    the counts wherever it is used.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -130,7 +133,7 @@ def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
                     raise ValueError(f"{where}: delta {row[0]} is not finite")
                 if not (math.isfinite(ci_lo) and math.isfinite(ci_hi)):
                     raise ValueError(f"{where}: interval [{row[4]}, {row[5]}] is not finite")
-                if d1 < 0 or d2 < 0 or d1 + d2 == 0:
+                if d1 < 0 or d2 < 0 or not 0 < d1 + d2 <= _MAX_PHOTONS:
                     raise ValueError(f"{where}: counts d1={d1}, d2={d2} are not a sample")
                 point = SweepPoint(delta, DetectorCounts(d1, d2))
                 if fraction != point.d1_fraction:
@@ -138,6 +141,8 @@ def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
                         f"{where}: d1_fraction {row[3]} is not d1/(d1+d2) = {point.d1_fraction!r}"
                     )
                 points.append(point)
+    except csv.Error as exc:
+        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
     if not points:

@@ -233,7 +233,10 @@ def test_sweep_json_fit_block_has_the_fit_fields(tmp_path):
      ("inf,5,5,0.5,0,1", "line 2: delta inf is not finite"),
      ("0.0,5.0,5,0.5,0,1", "line 2: invalid literal for int()"),
      ("0.0,5,5,0.5,x,y", "line 2: could not convert string to float: 'x'"),
-     ("0.0,5,5,0.5,nan,1", "line 2: interval [nan, 1] is not finite")],
+     ("0.0,5,5,0.5,nan,1", "line 2: interval [nan, 1] is not finite"),
+     pytest.param(f"0.0,{10**400},0,1.0,0,1", "not a sample", id="d1-10**400"),
+     pytest.param("0.0," + "1" * 131073 + ",5,0.5,0,1", "line 2: field larger than field limit",
+                  id="field-over-csv-limit")],
 )
 @pytest.mark.parametrize("command", ["analyze", "compare-qm"])
 def test_malformed_csv_row_is_a_single_line_error(tmp_path, capsys, command, row, reason):
@@ -244,6 +247,23 @@ def test_malformed_csv_row_is_a_single_line_error(tmp_path, capsys, command, row
     assert captured.out == ""
     assert captured.err.startswith("error:") and reason in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mzi", "--trace"],
+     ["single-bs", "--trace", "--out", "r.csv"],
+     ["mzi", "--trace", "--out", "r.json", "--format", "csv"]],
+    ids=["no-out", "csv-out", "format-csv"],
+)
+def test_trace_without_json_output_is_a_single_line_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--photons", "100") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --trace needs JSON output")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_fails_with_usage(capsys):

@@ -1,5 +1,4 @@
 import math
-import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +22,7 @@ from mzsim.experiment import (
 )
 from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI
+from test_kernel import needs_cc, stream_outcomes
 
 
 def small_config(**overrides):
@@ -104,12 +104,6 @@ def test_mzi_rejects_invalid_config():
         run_mzi(replace(ExperimentConfig(), photon_count=0))
 
 
-def reference_stream(config, mzi):
-    """``(d1, d2, trace)`` of the ``interact``-based reference loop."""
-    emissions, offsets = _prepare_stream(config)
-    return _run_stream_py(emissions, offsets, config, mzi=mzi, want_trace=True)
-
-
 finite = st.floats(-50.0, 50.0)
 splitters = st.builds(
     SplitterConfig,
@@ -133,24 +127,23 @@ configs = st.builds(
 )
 
 
-def compiled_loop(config, mzi):
-    assert _load_kernel() is not None, "the compiled kernel did not load"
-    counts, trace = (run_mzi if mzi else run_single_bs)(config, trace=True)
-    return (counts.d1, counts.d2), trace
+def assert_kernel_fills_the_reference_arrays(config, mzi):
+    kernel = stream_outcomes(_load_kernel(), config, mzi)
+    reference = stream_outcomes(_run_stream_py, config, mzi)
+    for got, expected in zip(kernel, reference):
+        np.testing.assert_array_equal(got, expected)
+    if not mzi:  # bs2 is not written unless mzi
+        assert not kernel[1].any() and not reference[1].any()
 
 
+@needs_cc
 @pytest.mark.parametrize("mzi", [True, False], ids=["mzi", "single-bs"])
 @settings(max_examples=60, deadline=None)
 @given(config=configs)
 def test_stream_loop_matches_interact_reference(mzi, config):
-    """The compiled kernel (what run_mzi runs) agrees exactly with the
-    interact-based reference loop."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler: run_mzi runs the reference loop")
-    counts, trace = compiled_loop(config, mzi)
-    d1, d2, reference = reference_stream(config, mzi)
-    assert counts == (d1, d2)
-    assert trace == reference
+    """The compiled kernel (what run_mzi runs) fills the same outcome
+    arrays as the interact-based reference loop, photon for photon."""
+    assert_kernel_fills_the_reference_arrays(config, mzi)
 
 
 fast_splitters = st.builds(
@@ -175,21 +168,17 @@ streams_past_2_to_50 = st.builds(
 )
 
 
+@needs_cc
 @pytest.mark.parametrize("mzi", [True, False], ids=["mzi", "single-bs"])
 @settings(max_examples=20, deadline=None)
 @given(config=streams_past_2_to_50)
 def test_stream_loop_matches_reference_where_phases_pass_2_to_50(mzi, config):
     """The kernel reduces phases with its own remainder below 2**50 and with
     fmod above; a stream whose nu*t climbs past 2**50 crosses both."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler: run_mzi runs the reference loop")
     emissions, _ = _prepare_stream(config)
     t_last = emissions[-1] + config.base_path_length
     assert config.particle_frequency * emissions[0] < 2**50 < config.particle_frequency * t_last
-    counts, trace = compiled_loop(config, mzi)
-    d1, d2, reference = reference_stream(config, mzi)
-    assert counts == (d1, d2)
-    assert trace == reference
+    assert_kernel_fills_the_reference_arrays(config, mzi)
 
 
 def test_reversed_stream_changes_splitter_memory():
@@ -201,8 +190,8 @@ def test_reversed_stream_changes_splitter_memory():
         cfg.source_rate, cfg.photon_count, rng, law=cfg.inter_arrival_law
     )
     offsets = rng.uniform(0.0, TWO_PI, cfg.photon_count)
-    _, _, forward = _run_stream(emissions, offsets, cfg, mzi=True, want_trace=True)
-    _, _, backward = _run_stream(
+    _, forward = _run_stream(emissions, offsets, cfg, mzi=True, want_trace=True)
+    _, backward = _run_stream(
         emissions[::-1].copy(), offsets[::-1].copy(), cfg, mzi=True, want_trace=True
     )
     assert forward != backward[::-1]

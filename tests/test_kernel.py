@@ -1,7 +1,7 @@
 """The compiled stream loop: how it is built, shared and replaced.
 
-That its outcomes equal those of the ``interact``-based reference loop is
-checked photon for photon by
+That it fills the same outcome arrays as the ``interact``-based reference
+loop, which takes the same arguments, is checked photon for photon by
 ``test_experiment.test_stream_loop_matches_interact_reference``; here its
 phase reduction ``wrap`` is checked against ``phases.wrap_phase`` directly.
 """
@@ -108,7 +108,8 @@ def test_concurrent_first_compile_leaves_one_library(tmp_path):
 @needs_cc
 def test_kernel_compiles_without_warnings(tmp_path):
     done = subprocess.run(
-        [CC, *experiment._CFLAGS, "-Wall", "-Wextra", "-Werror",
+        [CC, *experiment._CFLAGS, "-Wall", "-Wextra", "-Wconversion", "-Wdouble-promotion",
+         "-Wshadow", "-Werror",
          "-o", str(tmp_path / "kernel.so"), str(experiment._KERNEL_SOURCE), "-lm"],
         capture_output=True, text=True, timeout=120,
     )
@@ -154,11 +155,15 @@ def call_wrap(wrap_array, x):
     return out
 
 
-def call_run_stream(run, config):
+def stream_outcomes(loop, config, mzi):
+    """``(bs1, bs2)`` as filled by ``loop``, the compiled ``run_stream`` or
+    anything with its signature, for the prepared stream of ``config``.
+    ``bs1`` starts at -1, so a photon the loop skips shows; ``bs2`` starts
+    at 0, as in ``experiment._run_stream``."""
     emissions, offsets = _prepare_stream(config)
     n = emissions.size
-    bs1, bs2 = np.empty(n, np.int8), np.zeros(n, np.int8)
-    run(emissions, offsets, n, *_stream_params(config), 1, bs1, bs2)
+    bs1, bs2 = np.full(n, -1, np.int8), np.zeros(n, np.int8)
+    loop(emissions, offsets, n, *_stream_params(config), mzi, bs1, bs2)
     return bs1, bs2
 
 
@@ -190,5 +195,6 @@ def test_default_clone_equals_the_clone_picked_at_load(tmp_path, monkeypatch, fr
     x = wrap_cases()
     assert call_wrap(shipped[1], x).tobytes() == call_wrap(default[1], x).tobytes()
     cfg = replace(ExperimentConfig(), delta=1.5)
-    for ours, theirs in zip(call_run_stream(shipped[0], cfg), call_run_stream(default[0], cfg)):
+    for ours, theirs in zip(stream_outcomes(shipped[0], cfg, True),
+                            stream_outcomes(default[0], cfg, True)):
         assert np.array_equal(ours, theirs)
