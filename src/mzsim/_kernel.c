@@ -9,6 +9,11 @@
  * multiply-add, which would round once where Python rounds twice. The one
  * fused multiply-add is the explicit fma() in rem, which is exact by
  * construction (see there).
+ *
+ * About half the reductions per photon take |x| < TWO_PI: p - s,
+ * a*p + b*s, the initial phase, and every BS2 phase when its frequency is
+ * 0. There wrap takes no quotient, and is still exact: fmod(x, TWO_PI) == x
+ * for such x, and -0.0 + 0.0 is +0.0, as in Python (see wrap).
  */
 #include <math.h>
 #include <stdint.h>
@@ -54,14 +59,26 @@ static inline __attribute__((always_inline)) double rem(double x)
 }
 
 /* Python's float x % TWO_PI (fmod, then the sign of the divisor), then the
- * snap of phases.wrap_phase: a value just below TWO_PI becomes 0. */
+ * snap of phases.wrap_phase: a value just below TWO_PI becomes 0.
+ *
+ * For |x| < TWO_PI, fmod(x, TWO_PI) is x itself, so the remainder is x,
+ * plus TWO_PI when x < 0 (rounded once, as Python rounds it; a negative x
+ * so small that the sum rounds to TWO_PI is then snapped to 0). x = -0.0
+ * gives -0.0 + 0.0 = +0.0, Python's zero. The addend is a select, which
+ * compiles to a blend, because the sign of p - s is random and a branch on
+ * it would be mispredicted half the time. */
 static inline __attribute__((always_inline)) double wrap(double x)
 {
-    double r = rem(x);
-    if (r == 0.0)
-        r = copysign(0.0, TWO_PI);
-    else if (r < 0.0)
-        r += TWO_PI;
+    double r;
+    if (fabs(x) < TWO_PI) {
+        r = x + (x < 0.0 ? TWO_PI : 0.0);
+    } else {
+        r = rem(x);
+        if (r == 0.0)
+            r = copysign(0.0, TWO_PI);
+        else if (r < 0.0)
+            r += TWO_PI;
+    }
     return TWO_PI - r < WRAP_SNAP ? 0.0 : r;
 }
 
@@ -75,7 +92,8 @@ void wrap_array(const double *x, int64_t n, double *out)
 
 /* Stream n photons through BS1 and, if mzi, BS2. bs1_out[i] and bs2_out[i]
  * are 1 where photon i reflected at that splitter; bs2_out is not written
- * unless mzi. xi1 and xi2 are the splitters' wrapped initial offsets. */
+ * unless mzi. offsets[i] is photon i's initial phase, wrapped here; xi1 and
+ * xi2 are the splitters' wrapped initial offsets. */
 FMA_CLONES
 void run_stream(const double *emissions, const double *offsets, int64_t n,
                 double nu_p, double base, double delta,
@@ -85,9 +103,9 @@ void run_stream(const double *emissions, const double *offsets, int64_t n,
 {
     for (int64_t i = 0; i < n; i++) {
         double t1 = emissions[i] + base;
-        double p = wrap(nu_p * t1 + offsets[i]);
+        double phi = wrap(offsets[i]);
+        double p = wrap(nu_p * t1 + phi);
         double s = wrap(nu1 * t1 + xi1);
-        double phi = offsets[i];
         double seg = base + delta;
         int first = wrap(p - s) < PI;
         if (first) {

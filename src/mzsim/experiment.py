@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .optics import DetectorCounts, generate_emissions, interact
-from .phases import TWO_PI, WRAP_SNAP, wrap_phase
+from .phases import TWO_PI, wrap_phase
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -71,12 +71,11 @@ class SweepPoint:
 
 
 def _initial_offsets(config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
+    """Each photon's initial phase, unsnapped: the stream loop wraps it, so
+    a draw just below TWO_PI becomes 0 there."""
     n = config.photon_count
     if config.particle_initial_phase is None:
-        offsets = rng.uniform(0.0, TWO_PI, n)
-        # same boundary snap as wrap_phase, vectorized
-        offsets[TWO_PI - offsets < WRAP_SNAP] = 0.0
-        return offsets
+        return rng.uniform(0.0, TWO_PI, n)
     return np.full(n, wrap_phase(config.particle_initial_phase))
 
 
@@ -168,10 +167,11 @@ def _run_stream(
     and its trace if ``want_trace``.
 
     ``emissions`` and ``phase_offsets`` are float64 arrays, one entry per
-    photon. The loop runs in the compiled kernel (``_kernel.c``) or, where
-    that cannot be built, in :func:`_run_stream_py`, with a warning. Both
-    take the same arguments and write each photon's BS1 and BS2 outcome to
-    an int8 array; counts and trace rows are read from those.
+    photon; the loop wraps each initial phase offset itself. It runs in the
+    compiled kernel (``_kernel.c``) or, where that cannot be built, in
+    :func:`_run_stream_py`, with a warning. Both take the same arguments and
+    write each photon's BS1 and BS2 outcome to an int8 array; counts and
+    trace rows are read from those.
     """
     if phase_offsets.shape != emissions.shape or emissions.ndim != 1:
         raise ValueError("emissions and phase offsets must be 1-d arrays of one length")
@@ -199,15 +199,16 @@ def _run_stream_py(
     reference the compiled kernel is tested against, and its fallback. It
     takes the kernel's ``run_stream`` arguments and fills the same arrays.
 
-    Each splitter keeps the offset of its oscillator ``nu*t + offset``. At
-    each splitter the photon's and the splitter's wrapped phases at the
-    interaction time go through ``interact``; a reflection rebases both
-    offsets to the phases it returns (``wrap(phase - nu*t)``).
+    The photon starts from its wrapped initial offset, and each splitter
+    keeps the offset of its oscillator ``nu*t + offset``. At each splitter
+    the photon's and the splitter's wrapped phases at the interaction time
+    go through ``interact``; a reflection rebases both offsets to the phases
+    it returns (``wrap(phase - nu*t)``).
     """
     splitters = [(nu1, a1, b1), (nu2, a2, b2)][: 1 + bool(mzi)]
     xi, outs = [xi1, xi2], (bs1_out, bs2_out)
     for i, emitted, phi in zip(range(n), emissions.tolist(), offsets.tolist()):
-        t = emitted + base
+        t, phi = emitted + base, wrap_phase(phi)
         for k, (nu, a, b) in enumerate(splitters):
             p, s = wrap_phase(nu_p * t + phi), wrap_phase(nu * t + xi[k])
             reflected, p, s = interact(p, s, a, b)

@@ -59,7 +59,7 @@ def generate_emissions(
         gaps = np.full(n, 1.0 / rate)
     else:
         raise ValueError(f"unknown inter-arrival law {law!r}")
-    return np.cumsum(gaps)
+    return np.cumsum(gaps, out=gaps)
 
 
 def interact(p: float, s: float, alpha: float, beta: float) -> tuple[bool, float, float]:

@@ -28,6 +28,29 @@ SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("delta", "d1", "d2", "d1_fraction", "ci_lo", "ci_hi")
 CHILD_SEED_FUNCTION = "splitmix64"
 _MAX_PHOTONS = 2**63 - 1  # the stream loop takes its photon count as an int64_t
+_SHOWN = 32  # longest field an error message shows whole; a double's repr fits
+
+
+def _brief(text: str) -> str:
+    """``text``, or its first characters and its length if it is longer than
+    ``_SHOWN``, so that an error line about a field stays one short line."""
+    if len(text) <= _SHOWN:
+        return text
+    return f"{text[:16]}... ({len(text)} characters)"
+
+
+def _parse_error(row: list[str], exc: ValueError) -> str:
+    """What to say of a row that raised ``exc`` while its fields were parsed:
+    the parser's message, unless the field it failed on is too long to show,
+    which is then shown in brief."""
+    for kind, text in zip((float, int, int, float, float, float), row):
+        try:
+            kind(text)
+        except ValueError:
+            if len(text) > _SHOWN:  # the parser's message echoes the field
+                return f"{kind.__name__} field {_brief(text)} does not parse"
+            break
+    return str(exc)
 
 
 def build_record(
@@ -128,17 +151,22 @@ def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
                     delta, d1, d2, fraction = float(row[0]), int(row[1]), int(row[2]), float(row[3])
                     ci_lo, ci_hi = float(row[4]), float(row[5])
                 except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
+                    raise ValueError(f"{where}: {_parse_error(row, exc)}") from None
                 if not math.isfinite(delta):
-                    raise ValueError(f"{where}: delta {row[0]} is not finite")
+                    raise ValueError(f"{where}: delta {_brief(row[0])} is not finite")
                 if not (math.isfinite(ci_lo) and math.isfinite(ci_hi)):
-                    raise ValueError(f"{where}: interval [{row[4]}, {row[5]}] is not finite")
+                    raise ValueError(
+                        f"{where}: interval [{_brief(row[4])}, {_brief(row[5])}] is not finite"
+                    )
                 if d1 < 0 or d2 < 0 or not 0 < d1 + d2 <= _MAX_PHOTONS:
-                    raise ValueError(f"{where}: counts d1={d1}, d2={d2} are not a sample")
+                    raise ValueError(
+                        f"{where}: counts d1={_brief(str(d1))}, d2={_brief(str(d2))} are not a sample"
+                    )
                 point = SweepPoint(delta, DetectorCounts(d1, d2))
                 if fraction != point.d1_fraction:
                     raise ValueError(
-                        f"{where}: d1_fraction {row[3]} is not d1/(d1+d2) = {point.d1_fraction!r}"
+                        f"{where}: d1_fraction {_brief(row[3])} is not d1/(d1+d2)"
+                        f" = {point.d1_fraction!r}"
                     )
                 points.append(point)
     except csv.Error as exc:

@@ -234,9 +234,14 @@ def test_sweep_json_fit_block_has_the_fit_fields(tmp_path):
      ("0.0,5.0,5,0.5,0,1", "line 2: invalid literal for int()"),
      ("0.0,5,5,0.5,x,y", "line 2: could not convert string to float: 'x'"),
      ("0.0,5,5,0.5,nan,1", "line 2: interval [nan, 1] is not finite"),
-     pytest.param(f"0.0,{10**400},0,1.0,0,1", "not a sample", id="d1-10**400"),
+     pytest.param(f"0.0,{10**400},0,1.0,0,1", "d1=1000000000000000... (401 characters)",
+                  id="d1-10**400"),
      pytest.param("0.0," + "1" * 131073 + ",5,0.5,0,1", "line 2: field larger than field limit",
-                  id="field-over-csv-limit")],
+                  id="field-over-csv-limit"),
+     pytest.param("0.0,5,5,0.5,0," + "x" * 1000, "float field xxxxxxxxxxxxxxxx... (1000 characters)",
+                  id="long-unparsable-field"),
+     pytest.param("1" * 1000 + "e999,5,5,0.5,0,1", "line 2: delta 1111111111111111...",
+                  id="long-infinite-delta")],
 )
 @pytest.mark.parametrize("command", ["analyze", "compare-qm"])
 def test_malformed_csv_row_is_a_single_line_error(tmp_path, capsys, command, row, reason):
@@ -247,6 +252,7 @@ def test_malformed_csv_row_is_a_single_line_error(tmp_path, capsys, command, row
     assert captured.out == ""
     assert captured.err.startswith("error:") and reason in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+    assert len(captured.err) < len(str(path)) + 120  # an over-long field is shown in brief
 
 
 @pytest.mark.parametrize(

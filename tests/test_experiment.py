@@ -21,7 +21,7 @@ from mzsim.experiment import (
     _run_stream_py,
 )
 from mzsim.optics import generate_emissions
-from mzsim.phases import TWO_PI
+from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 from test_kernel import needs_cc, stream_outcomes
 
 
@@ -179,6 +179,39 @@ def test_stream_loop_matches_reference_where_phases_pass_2_to_50(mzi, config):
     t_last = emissions[-1] + config.base_path_length
     assert config.particle_frequency * emissions[0] < 2**50 < config.particle_frequency * t_last
     assert_kernel_fills_the_reference_arrays(config, mzi)
+
+
+below_two_pi = st.floats(TWO_PI - WRAP_SNAP, TWO_PI, exclude_max=True)
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "mzi, configured", [(True, False), (False, False), (True, True)],
+    ids=["mzi", "single-bs", "particle-initial-phase"],
+)
+@settings(max_examples=30, deadline=None)
+@given(config=configs, data=st.data())
+def test_stream_loops_snap_initial_phases_just_below_two_pi(mzi, configured, config, data):
+    """Each loop wraps the initial phases it reads, so raw phases in
+    [TWO_PI - WRAP_SNAP, TWO_PI) give the outcomes of the same phases
+    snapped to 0.0 beforehand, as wrap_phase snaps them."""
+    if configured:
+        config = replace(config, particle_initial_phase=data.draw(below_two_pi))
+        raw = np.full(config.photon_count, config.particle_initial_phase)
+    else:
+        raw = _prepare_stream(config)[1]
+        picks = data.draw(st.lists(
+            st.tuples(st.integers(0, raw.size - 1), below_two_pi), max_size=10))
+        for i, phase in [(0, np.nextafter(TWO_PI, 0.0)), *picks]:
+            raw[i] = phase
+    snapped = np.array([wrap_phase(x) for x in raw.tolist()])
+    assert (snapped == 0.0).any() or configured
+    kernel = _load_kernel()
+    expected = stream_outcomes(kernel, config, mzi, snapped)
+    for loop in (kernel, _run_stream_py):
+        for offsets in (raw, snapped):
+            for got, want in zip(stream_outcomes(loop, config, mzi, offsets), expected):
+                np.testing.assert_array_equal(got, want)
 
 
 def test_reversed_stream_changes_splitter_memory():

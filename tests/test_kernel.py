@@ -25,7 +25,7 @@ from mzsim.config import ExperimentConfig
 from mzsim.experiment import (
     _load_kernel, _prepare_stream, _stream_params, run_mzi, run_single_bs,
 )
-from mzsim.phases import TWO_PI, wrap_phase
+from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 
 CC = shutil.which("cc")
 needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH")
@@ -119,7 +119,8 @@ def test_kernel_compiles_without_warnings(tmp_path):
 def wrap_cases() -> np.ndarray:
     """About 1.7 million doubles that probe the kernel's phase reduction:
     the ranges the loop sees, every exponent, the neighbours of multiples
-    of TWO_PI up to the fmod fallback at 2**50, and the edges."""
+    of TWO_PI up to the fmod fallback at 2**50, and the edges, among them
+    those of the quotient-free path for |x| < TWO_PI."""
     rng = np.random.default_rng(2005)
     n = 150_000
     sign = rng.choice([-1.0, 1.0], 2 * n)
@@ -128,12 +129,20 @@ def wrap_cases() -> np.ndarray:
     up = np.nextafter(multiples, np.inf)
     edges = [2.0**50, -(2.0**50), 2.0**50 - 1, 0.0, -0.0, 5e-324, -5e-324,
              1e300, -1e300, TWO_PI, -TWO_PI, np.pi, -np.pi]
+    # |x| just below TWO_PI, and either side of the snap at TWO_PI - WRAP_SNAP
+    below = np.array([np.nextafter(TWO_PI, 0.0), TWO_PI - WRAP_SNAP])
+    below = np.concatenate([below, np.nextafter(below, 0.0), np.nextafter(below, np.inf)])
+    # Negatives so small that x + TWO_PI rounds to TWO_PI (|x| up to half an
+    # ulp of TWO_PI, 2**-51) or lands within WRAP_SNAP of it: both snap to 0.
+    tiny = np.concatenate([np.ldexp(1.0, np.arange(-1074, -38)),
+                           rng.uniform(0.0, 2 * WRAP_SNAP, 1000), [2.0**-51, WRAP_SNAP]])
+    tiny = np.concatenate([tiny, np.nextafter(tiny, 0.0), np.nextafter(tiny, 1.0)])
     return np.concatenate([
         rng.uniform(-1e4, 1e4, 400_000),
         rng.uniform(-TWO_PI, TWO_PI, 400_000),
         sign * np.ldexp(rng.uniform(0.5, 1.0, 2 * n), rng.integers(-1074, 1024, 2 * n)),
         multiples, up, np.nextafter(multiples, -np.inf), np.nextafter(up, np.inf),
-        edges,
+        edges, below, -below, -tiny,
     ])
 
 
@@ -155,12 +164,14 @@ def call_wrap(wrap_array, x):
     return out
 
 
-def stream_outcomes(loop, config, mzi):
+def stream_outcomes(loop, config, mzi, offsets=None):
     """``(bs1, bs2)`` as filled by ``loop``, the compiled ``run_stream`` or
-    anything with its signature, for the prepared stream of ``config``.
+    anything with its signature, for the prepared stream of ``config``, or
+    for its emissions with the initial phases ``offsets`` if given.
     ``bs1`` starts at -1, so a photon the loop skips shows; ``bs2`` starts
     at 0, as in ``experiment._run_stream``."""
-    emissions, offsets = _prepare_stream(config)
+    emissions, prepared = _prepare_stream(config)
+    offsets = prepared if offsets is None else offsets
     n = emissions.size
     bs1, bs2 = np.full(n, -1, np.int8), np.zeros(n, np.int8)
     loop(emissions, offsets, n, *_stream_params(config), mzi, bs1, bs2)

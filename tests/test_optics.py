@@ -92,6 +92,21 @@ def test_generate_emissions_uniform_law_mean():
     assert gaps.max() <= 1.0  # uniform law is bounded by 2/rate
 
 
+@pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
+def test_generate_emissions_is_the_cumulative_sum_of_the_gaps(law):
+    # the gaps are summed in place; the bits must be np.cumsum's
+    rate, n = 3.0, 10_000
+    rng = np.random.default_rng(19)
+    draws = {
+        "exponential": lambda: rng.exponential(1.0 / rate, n),
+        "uniform": lambda: rng.uniform(0.0, 2.0 / rate, n),
+        "fixed": lambda: np.full(n, 1.0 / rate),
+    }
+    expected = np.cumsum(draws[law]())
+    got = generate_emissions(rate, n, np.random.default_rng(19), law=law)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_generate_emissions_bad_args():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
