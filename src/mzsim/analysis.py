@@ -14,7 +14,7 @@ import numpy as np
 from .phases import TWO_PI, wrap_phase
 
 _FREQ_SCAN_POINTS = 512
-_SCAN_BLOCK = 16  # frequencies ranked per pass: work arrays of 16 x rows doubles
+_SCAN_ELEMENTS = 16 * 1024  # doubles per scan work array: 16 frequencies at 1024 rows
 _MAX_GRAM_COND = 1e5  # scores of worse-conditioned frequencies are re-scored
 _MIN_FIT_POINTS = 8
 _GN_MAX_ITER = 100
@@ -102,13 +102,14 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     The grid spans [0.1, 10] times the fundamental 2*pi/span.
 
     The whole grid is ranked first from the 3x3 normal equations, with the
-    residual taken as ``y.y - coef.(X^T y)``, ``_SCAN_BLOCK`` frequencies at a
-    time. That score is exact only up to rounding, so the candidates are
-    re-scored with ``lstsq`` in grid order and the first smallest residual
-    wins: every frequency scoring within ``max(1e-6*|best|, 1e-9*y.y)`` of
-    the best, and every frequency whose Gram matrix is too ill-conditioned
-    for its score to be trusted. The pick is therefore the one an ``lstsq``
-    at every grid frequency would make.
+    residual taken as ``y.y - coef.(X^T y)``, in passes of work arrays of at
+    most ``_SCAN_ELEMENTS`` doubles (one frequency at the least). That score
+    is exact only up to rounding, so the candidates are re-scored with
+    ``lstsq`` in grid order and the first smallest residual wins: every
+    frequency scoring within ``max(1e-6*|best|, 1e-9*y.y)`` of the best, and
+    every frequency whose Gram matrix is too ill-conditioned for its score
+    to be trusted. The pick is therefore the one an ``lstsq`` at every grid
+    frequency would make.
     """
     grid = _frequency_grid(float(x.max()) - float(x.min()))
     assert grid is not None
@@ -116,8 +117,9 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     rhs = np.empty((grid.size, 3))
     gram[:, 0, 0] = x.size
     rhs[:, 0] = y.sum()
-    for start in range(0, grid.size, _SCAN_BLOCK):
-        block = slice(start, start + _SCAN_BLOCK)
+    step = max(1, _SCAN_ELEMENTS // x.size)
+    for start in range(0, grid.size, step):
+        block = slice(start, start + step)
         wx = np.multiply.outer(grid[block], x)
         sin_wx = np.sin(wx)
         cos_wx = np.cos(wx)

@@ -111,14 +111,14 @@ def _run_one(args: argparse.Namespace) -> int:
     kind = args.command
     cfg = _effective_config(args)
     runner = run_single_bs if kind == "single-bs" else run_mzi
-    counts, trace = runner(cfg, trace=args.trace)
+    counts, trace = runner(cfg)
     frac = counts.d1_fraction
     confidence = 0.95
     lo, hi = binomial_ci(counts.d1, counts.total, confidence)
     if args.out:
         analysis = {"d1_fraction": frac, "ci_lo": lo, "ci_hi": hi, "confidence": confidence}
         points = [SweepPoint(cfg.delta, counts)]
-        _emit(build_record(kind, cfg, points, analysis, trace=trace), args)
+        _emit(build_record(kind, cfg, points, analysis, trace=trace if args.trace else None), args)
     print(
         f"{kind}: photons={counts.total} d1={counts.d1} d2={counts.d2} "
         f"d1_fraction={frac:.6f} ci95=[{lo:.6f}, {hi:.6f}]"

@@ -53,11 +53,10 @@ def _delta_bits(delta: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(delta)))[0]
 
 
-# One photon's outcome: (emitted_at, reflected_at_bs1, reflected_at_bs2).
-# The BS2 field is None in single-bs runs; a BS1 reflection means path 1.
-Outcome = tuple[float, bool, bool | None]
-# What a single run returns: its counts, and its trace if one was asked for.
-Run = tuple[DetectorCounts, list[Outcome] | None]
+# What a single run returns: its counts and its outcome arrays (emissions,
+# bs1, bs2), one entry per photon in emission order; bs1 and bs2 are int8, 1
+# where the photon reflected there, and bs2 is None in single-bs runs.
+Run = tuple[DetectorCounts, tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,9 @@ def _initial_offsets(config: ExperimentConfig, rng: np.random.Generator) -> np.n
     a draw just below TWO_PI becomes 0 there."""
     n = config.photon_count
     if config.particle_initial_phase is None:
-        return rng.uniform(0.0, TWO_PI, n)
+        offsets = rng.random(n)
+        offsets *= TWO_PI  # the bits of rng.uniform(0.0, TWO_PI, n)
+        return offsets
     return np.full(n, wrap_phase(config.particle_initial_phase))
 
 
@@ -156,22 +157,17 @@ def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
 
 
 def _run_stream(
-    emissions: np.ndarray,
-    phase_offsets: np.ndarray,
-    config: ExperimentConfig,
-    *,
-    mzi: bool,
-    want_trace: bool,
+    emissions: np.ndarray, phase_offsets: np.ndarray, config: ExperimentConfig, *, mzi: bool
 ) -> Run:
-    """Sequential pass of a photon stream through the apparatus: its counts,
-    and its trace if ``want_trace``.
+    """Sequential pass of a photon stream through the apparatus: its counts
+    and its outcome arrays (see :data:`Run`).
 
     ``emissions`` and ``phase_offsets`` are float64 arrays, one entry per
     photon; the loop wraps each initial phase offset itself. It runs in the
     compiled kernel (``_kernel.c``) or, where that cannot be built, in
     :func:`_run_stream_py`, with a warning. Both take the same arguments and
-    write each photon's BS1 and BS2 outcome to an int8 array; counts and
-    trace rows are read from those.
+    write each photon's BS1 and BS2 outcome to an int8 array; the counts are
+    read from those.
     """
     if phase_offsets.shape != emissions.shape or emissions.ndim != 1:
         raise ValueError("emissions and phase offsets must be 1-d arrays of one length")
@@ -181,11 +177,7 @@ def _run_stream(
     bs2 = np.zeros(n, np.int8)
     loop(emissions, phase_offsets, n, *_stream_params(config), mzi, bs1, bs2)
     d1 = int(np.count_nonzero(bs2 if mzi else bs1))
-    trace = None
-    if want_trace:
-        second = bs2.view(np.bool_).tolist() if mzi else [None] * n
-        trace = list(zip(emissions.tolist(), bs1.view(np.bool_).tolist(), second))
-    return DetectorCounts(d1, n - d1), trace
+    return DetectorCounts(d1, n - d1), (emissions, bs1, bs2 if mzi else None)
 
 
 def _run_stream_py(
@@ -233,7 +225,7 @@ def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
 
 
 def _prepare_stream(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(config.master_seed)
+    rng = np.random.default_rng(config.validate().master_seed)
     emissions = generate_emissions(
         config.source_rate, config.photon_count, rng, law=config.inter_arrival_law
     )
@@ -241,21 +233,17 @@ def _prepare_stream(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return emissions, _initial_offsets(config, rng)
 
 
-def _run(config: ExperimentConfig, *, mzi: bool, trace: bool) -> Run:
-    config.validate()
-    emissions, offsets = _prepare_stream(config)
-    return _run_stream(emissions, offsets, config, mzi=mzi, want_trace=trace)
-
-
-def run_single_bs(config: ExperimentConfig, trace: bool = False) -> Run:
+def run_single_bs(config: ExperimentConfig) -> Run:
     """Stream all photons against the first splitter only.
 
-    Reflections count to D1, transmissions to D2.
+    Reflections count to D1, transmissions to D2. Returns the counts and
+    ``(emissions, bs1, None)``: each photon's emission time and its BS1
+    outcome (1 = reflected).
     """
-    return _run(config, mzi=False, trace=trace)
+    return _run_stream(*_prepare_stream(config), config, mzi=False)
 
 
-def run_mzi(config: ExperimentConfig, trace: bool = False) -> Run:
+def run_mzi(config: ExperimentConfig) -> Run:
     """Full two-splitter run.
 
     Each photon travels ``base_path_length`` to BS1; a reflection there sends
@@ -263,8 +251,10 @@ def run_mzi(config: ExperimentConfig, trace: bool = False) -> Run:
     (``base_path_length + delta``); at BS2 a reflection clicks D1 and a
     transmission clicks D2. Both splitters keep their own evolving state for
     the whole stream, so photons are processed strictly in emission order.
+    Returns the counts and ``(emissions, bs1, bs2)``: each photon's emission
+    time and its BS1 and BS2 outcomes (1 = reflected).
     """
-    return _run(config, mzi=True, trace=trace)
+    return _run_stream(*_prepare_stream(config), config, mzi=True)
 
 
 def _sweep_point(config: ExperimentConfig) -> SweepPoint:

@@ -51,15 +51,18 @@ def generate_emissions(
         raise ValueError(f"source rate must be finite and > 0, got {rate!r}")
     if n < 0:
         raise ValueError(f"photon count must be >= 0, got {n!r}")
+    # standard draws scaled in place: the bits of rng.exponential / rng.uniform, faster
     if law == "exponential":
-        gaps = rng.exponential(1.0 / rate, n)
+        gaps, scale = rng.standard_exponential(n), 1.0 / rate
     elif law == "uniform":
-        gaps = rng.uniform(0.0, 2.0 / rate, n)
+        gaps, scale = rng.random(n), 2.0 / rate
     elif law == "fixed":
-        gaps = np.full(n, 1.0 / rate)
+        gaps, scale = np.ones(n), 1.0 / rate
     else:
         raise ValueError(f"unknown inter-arrival law {law!r}")
-    return np.cumsum(gaps, out=gaps)
+    with np.errstate(over="ignore"):  # a time past the double range is inf; runs refuse it
+        gaps *= scale
+        return np.cumsum(gaps, out=gaps)
 
 
 def interact(p: float, s: float, alpha: float, beta: float) -> tuple[bool, float, float]:

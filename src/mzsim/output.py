@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .analysis import binomial_ci
 from .config import ExperimentConfig
-from .experiment import Outcome, SweepPoint
+from .experiment import SweepPoint
 from .optics import DetectorCounts
 
 SCHEMA_VERSION = "1"
@@ -58,14 +58,16 @@ def build_record(
     config: ExperimentConfig,
     points: list[SweepPoint],
     analysis: dict | None = None,
-    trace: list[Outcome] | None = None,
+    trace: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None,
     timestamp: str | None = None,
 ) -> dict:
     """The record of a run, ready for ``json.dump``; ``kind`` is
-    ``"single-bs"``, ``"mzi"`` or ``"sweep"``. A trace row is
+    ``"single-bs"``, ``"mzi"`` or ``"sweep"``. ``trace`` is a run's outcome
+    arrays ``(emissions, bs1, bs2)`` (see :data:`mzsim.experiment.Run`), and
+    each photon becomes the row
     ``[emitted_at, "reflect"|"transmit", "path1"|"path2", "reflect"|"transmit"|null]``:
     the BS1 outcome, the path it implies, and the BS2 outcome (null for
-    single-bs runs)."""
+    single-bs runs, where ``bs2`` is None)."""
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat()
     record = {
@@ -90,14 +92,12 @@ def build_record(
         },
     }
     if trace is not None:
+        emissions, bs1, bs2 = trace
+        seconds = [None] * len(emissions) if bs2 is None else bs2.tolist()
         record["trace"] = [
-            [
-                t,
-                "reflect" if first else "transmit",
-                "path1" if first else "path2",
-                None if second is None else "reflect" if second else "transmit",
-            ]
-            for t, first, second in trace
+            [t, "reflect" if first else "transmit", "path1" if first else "path2",
+             None if second is None else "reflect" if second else "transmit"]
+            for t, first, second in zip(emissions.tolist(), bs1.tolist(), seconds)
         ]
     return record
 

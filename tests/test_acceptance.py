@@ -90,15 +90,18 @@ def test_criterion_3_deviation_magnitude(reference_sweep):
 def test_criterion_4_exact_delta_periodicity():
     cfg = replace(REFERENCE, delta=1.3)
     period = TWO_PI / cfg.particle_frequency
-    counts_a, trace_a = run_mzi(cfg, trace=True)
-    counts_b, trace_b = run_mzi(replace(cfg, delta=1.3 + period), trace=True)
-    differing = sum(x != y for x, y in zip(trace_a, trace_b))
+    counts_a, trace_a = run_mzi(cfg)
+    counts_b, trace_b = run_mzi(replace(cfg, delta=1.3 + period))
+    # trace arrays: emission times, BS1 and BS2 outcomes, one entry per photon
+    differing = np.any([a != b for a, b in zip(trace_a, trace_b, strict=True)], axis=0)
     _report(
         "4 exact delta-periodicity",
-        trace_a == trace_b and counts_a == counts_b,
-        f"per-photon traces for delta and delta+2pi/nu: {differing} differences "
-        f"over {len(trace_a)} photons (exact equality required)",
+        not differing.any() and counts_a == counts_b,
+        f"per-photon traces for delta and delta+2pi/nu: {np.count_nonzero(differing)} "
+        f"photons differ out of {trace_a[0].size} (exact equality required)",
     )
+    for a, b in zip(trace_a, trace_b):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 def test_criterion_5_byte_identical_reruns(tmp_path):

@@ -15,6 +15,7 @@ from mzsim.experiment import (
     run_mzi,
     run_single_bs,
     run_sweep,
+    _initial_offsets,
     _load_kernel,
     _prepare_stream,
     _run_stream,
@@ -22,7 +23,7 @@ from mzsim.experiment import (
 )
 from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
-from test_kernel import needs_cc, stream_outcomes
+from test_kernel import assert_same_run, needs_cc, stream_outcomes
 
 
 def small_config(**overrides):
@@ -69,7 +70,8 @@ def test_single_bs_grid_enumeration_oracle():
 def test_single_bs_deterministic():
     a = run_single_bs(small_config())
     b = run_single_bs(small_config())
-    assert a == b
+    assert_same_run(a, b)
+    assert a[1][2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -83,20 +85,27 @@ def test_mzi_counts_are_conserved():
 
 def test_mzi_deterministic_including_trace():
     cfg = small_config(delta=0.4)
-    a = run_mzi(cfg, trace=True)
-    b = run_mzi(cfg, trace=True)
-    assert a == b
+    a = run_mzi(cfg)
+    b = run_mzi(cfg)
+    assert_same_run(a, b)
     _, trace = a
-    assert len(trace) == 2000
+    assert [x.shape for x in trace] == [(2000,)] * 3
 
 
 def test_mzi_trace_periodic_in_delta():
     cfg = small_config(photon_count=20_000, delta=0.8)
     period = TWO_PI / cfg.particle_frequency
-    counts_a, trace_a = run_mzi(cfg, trace=True)
-    counts_b, trace_b = run_mzi(replace(cfg, delta=0.8 + period), trace=True)
-    assert trace_a == trace_b
-    assert counts_a == counts_b
+    assert_same_run(run_mzi(cfg), run_mzi(replace(cfg, delta=0.8 + period)))
+
+
+def test_random_initial_offsets_are_uniform_draws():
+    # drawn as rng.random scaled in place; the bits and the generator's end
+    # state must be those of rng.uniform from the same state
+    cfg = small_config()
+    rng, reference = np.random.default_rng(31), np.random.default_rng(31)
+    got = _initial_offsets(cfg, rng)
+    assert got.tobytes() == reference.uniform(0.0, TWO_PI, cfg.photon_count).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_mzi_rejects_invalid_config():
@@ -223,11 +232,9 @@ def test_reversed_stream_changes_splitter_memory():
         cfg.source_rate, cfg.photon_count, rng, law=cfg.inter_arrival_law
     )
     offsets = rng.uniform(0.0, TWO_PI, cfg.photon_count)
-    _, forward = _run_stream(emissions, offsets, cfg, mzi=True, want_trace=True)
-    _, backward = _run_stream(
-        emissions[::-1].copy(), offsets[::-1].copy(), cfg, mzi=True, want_trace=True
-    )
-    assert forward != backward[::-1]
+    _, forward = _run_stream(emissions, offsets, cfg, mzi=True)
+    _, backward = _run_stream(emissions[::-1].copy(), offsets[::-1].copy(), cfg, mzi=True)
+    assert not all(np.array_equal(f, b[::-1]) for f, b in zip(forward, backward))
 
 
 # ---------------------------------------------------------------------------

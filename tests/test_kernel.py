@@ -43,11 +43,7 @@ def test_failed_build_falls_back_to_the_python_loop_with_one_warning(
     tmp_path, monkeypatch, fresh_loader, failure
 ):
     cfg = replace(ExperimentConfig(), photon_count=3000, delta=1.5, master_seed=5)
-    runs = [
-        functools.partial(run_mzi, cfg, trace=True),
-        functools.partial(run_single_bs, cfg, trace=True),
-        functools.partial(run_mzi, cfg),
-    ]
+    runs = [functools.partial(run_mzi, cfg), functools.partial(run_single_bs, cfg)]
     expected = [run() for run in runs]
     _load_kernel.cache_clear()
     source = tmp_path / "_kernel.c"  # no cached library beside it
@@ -63,7 +59,8 @@ def test_failed_build_falls_back_to_the_python_loop_with_one_warning(
         warnings.simplefilter("always")
         fallback = [run() for run in runs]
     assert _load_kernel() is None
-    assert fallback == expected
+    for got, want in zip(fallback, expected, strict=True):
+        assert_same_run(got, want)
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "Python loop" in str(caught[0].message)
     assert [p.name for p in tmp_path.rglob("*") if p.suffix in (".so", ".tmp")] == []
@@ -162,6 +159,15 @@ def call_wrap(wrap_array, x):
     out = np.empty_like(x)
     wrap_array(x, x.size, out)
     return out
+
+
+def assert_same_run(a, b):
+    """Equal counts and, photon for photon, equal outcome arrays of the
+    same shape and dtype (``bs2`` None in both, for single-bs runs)."""
+    (counts_a, arrays_a), (counts_b, arrays_b) = a, b
+    assert counts_a == counts_b
+    for x, y in zip(arrays_a, arrays_b, strict=True):  # emissions, bs1, bs2
+        np.testing.assert_array_equal(x, y, strict=True)
 
 
 def stream_outcomes(loop, config, mzi, offsets=None):

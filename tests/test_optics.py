@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mzsim.optics import DetectorCounts, generate_emissions, interact
+from mzsim.optics import INTER_ARRIVAL_LAWS, DetectorCounts, generate_emissions, interact
 from mzsim.phases import TWO_PI
 
 
@@ -105,6 +106,17 @@ def test_generate_emissions_is_the_cumulative_sum_of_the_gaps(law):
     expected = np.cumsum(draws[law]())
     got = generate_emissions(rate, n, np.random.default_rng(19), law=law)
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
+@pytest.mark.parametrize("rate", [1e-308, 1e-307])  # a gap, or only the sum, overflows
+def test_generate_emissions_overflow_is_inf_without_a_warning(law, rate):
+    # the run refuses an infinite time with one error line; a numpy warning
+    # printed before it would break that line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        times = generate_emissions(rate, 100, np.random.default_rng(0), law=law)
+    assert times[-1] == math.inf
 
 
 def test_generate_emissions_bad_args():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mzsim.config import ExperimentConfig
@@ -57,19 +58,34 @@ def test_json_round_trip_equality(tmp_path):
     assert json.loads(path.read_text()) == record
 
 
-def test_json_trace_rows():
-    # one mzi row (BS1 transmit, BS2 reflect) and one single-bs row
-    trace = [(0.5, False, True), (1.5, True, None)]
+def trace_rows(kind, trace):
     record = build_record(
-        "mzi",
+        kind,
         ExperimentConfig(),
         [SweepPoint(0.0, DetectorCounts(1, 1))],
         None,
         trace=trace,
         timestamp="2024-01-01T00:00:00+00:00",
     )
-    rows = json.loads(json.dumps(record))["trace"]
-    assert rows == [[0.5, "transmit", "path2", "reflect"], [1.5, "reflect", "path1", None]]
+    return json.loads(json.dumps(record))["trace"]
+
+
+def test_json_trace_rows():
+    # every (bs1, bs2) outcome pair of an mzi run, then a single-bs run,
+    # whose bs2 is None
+    emissions = np.array([0.5, 1.5, 2.5, 3.5])
+    bs1 = np.array([0, 0, 1, 1], np.int8)
+    bs2 = np.array([0, 1, 0, 1], np.int8)
+    assert trace_rows("mzi", (emissions, bs1, bs2)) == [
+        [0.5, "transmit", "path2", "transmit"],
+        [1.5, "transmit", "path2", "reflect"],
+        [2.5, "reflect", "path1", "transmit"],
+        [3.5, "reflect", "path1", "reflect"],
+    ]
+    assert trace_rows("single-bs", (emissions[:2], bs1[1:3], None)) == [
+        [0.5, "transmit", "path2", None],
+        [1.5, "reflect", "path1", None],
+    ]
 
 
 def test_provenance_carries_seed_and_mixer():
