@@ -3,7 +3,8 @@
  * Its outcomes are bit for bit those of the Python reference loop
  * (experiment._run_stream_py, written with optics.interact): it does the
  * same IEEE double operations in the same order, except that it skips the
- * photon's phase update on a reflection at BS2, which no outcome reads.
+ * photon's phase update on a reflection at BS2, which no outcome reads, and
+ * computes BS2's register update for transmitted photons too, then drops it.
  * Two rules keep it so. There is no -ffast-math, and
  * -ffp-contract=off stops the compiler fusing a*p + b*s into one
  * multiply-add, which would round once where Python rounds twice. The one
@@ -123,8 +124,12 @@ void run_stream(const double *emissions, const double *offsets, int64_t n,
         double p2 = wrap(nu_p * t2 + phi);
         double s2 = wrap(nu2 * t2 + xi2);
         int second = wrap(p2 - s2) < PI;
-        if (second)
-            xi2 = wrap(wrap(a2 * s2 + b2 * p2) - nu2 * t2);
+        /* BS2's register update is computed for every photon and kept by
+         * a select: a branch on the random outcome was mispredicted about
+         * half the time. At BS1 the branch stays; its update also rebases
+         * phi, and computing that for every photon was measured slower. */
+        double xi2_new = wrap(wrap(a2 * s2 + b2 * p2) - nu2 * t2);
+        xi2 = second ? xi2_new : xi2;
         bs2_out[i] = (int8_t)second;
     }
 }

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 from .analysis import SineFit, binomial_ci, can_fit, compare_to_qm, fit_sine, visibility
 from .config import ExperimentConfig, load_config
@@ -88,6 +89,18 @@ def _out_format(args: argparse.Namespace) -> str:
     return "json" if str(args.out).endswith(".json") else "csv"
 
 
+def _check_out(args: argparse.Namespace) -> None:
+    """Refuse an ``--out`` that is a directory or whose directory does not
+    exist before the run, not after it."""
+    if not args.out:
+        return
+    out = Path(args.out)
+    if out.is_dir():
+        raise OSError(f"cannot write {args.out}: it is a directory")
+    if not out.parent.is_dir():
+        raise OSError(f"cannot write {args.out}: no directory {out.parent}")
+
+
 def _emit(record: dict, args: argparse.Namespace) -> None:
     if _out_format(args) == "json":
         write_json(record, args.out)
@@ -108,6 +121,7 @@ def _run_one(args: argparse.Namespace) -> int:
     """``single-bs`` and ``mzi``: one run, named by the subcommand."""
     if args.trace and not (args.out and _out_format(args) == "json"):
         raise ValueError("--trace needs JSON output (--out PATH.json or --format json)")
+    _check_out(args)
     kind = args.command
     cfg = _effective_config(args)
     runner = run_single_bs if kind == "single-bs" else run_mzi
@@ -127,6 +141,7 @@ def _run_one(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_out(args)
     cfg = _effective_config(args)
     deltas = default_sweep_deltas(cfg, steps=args.steps, delta_max=args.delta_max)
     points = run_sweep(cfg, deltas, jobs=args.parallel)

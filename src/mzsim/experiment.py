@@ -58,6 +58,28 @@ def _delta_bits(delta: float) -> int:
 # where the photon reflected there, and bs2 is None in single-bs runs.
 Run = tuple[DetectorCounts, tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
+# The arrays a run fills, one entry per photon: emission times and initial
+# phases (float64), then the BS1 and BS2 outcomes (int8).
+Buffers = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def photon_buffers(n: int) -> Buffers:
+    """Fresh ``(emissions, offsets, bs1, bs2)`` for runs of ``n`` photons.
+    ``bs2`` starts at 0, as a single-bs run leaves it."""
+    return np.empty(n), np.empty(n), np.empty(n, np.int8), np.zeros(n, np.int8)
+
+
+def _check_buffers(buffers: Buffers, n: int) -> None:
+    """The loop writes ``n`` entries into each buffer, unchecked; refuse a
+    buffer set that does not hold them."""
+    names = ("emissions", "offsets", "bs1", "bs2")
+    for name, buf, like in zip(names, buffers, photon_buffers(0), strict=True):
+        if buf.dtype != like.dtype or buf.shape != (n,) or not buf.flags.c_contiguous:
+            raise ValueError(
+                f"{name} buffer must be a C-contiguous {like.dtype} array of shape ({n},), "
+                f"got {buf.dtype} of shape {buf.shape}"
+            )
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -69,15 +91,18 @@ class SweepPoint:
         return self.counts.d1_fraction
 
 
-def _initial_offsets(config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
+def _initial_offsets(
+    config: ExperimentConfig, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Each photon's initial phase, unsnapped: the stream loop wraps it, so
-    a draw just below TWO_PI becomes 0 there."""
-    n = config.photon_count
+    a draw just below TWO_PI becomes 0 there. Written to ``out`` if given."""
+    offsets = np.empty(config.photon_count) if out is None else out
     if config.particle_initial_phase is None:
-        offsets = rng.random(n)
+        rng.random(out=offsets)
         offsets *= TWO_PI  # the bits of rng.uniform(0.0, TWO_PI, n)
-        return offsets
-    return np.full(n, wrap_phase(config.particle_initial_phase))
+    else:
+        offsets.fill(wrap_phase(config.particle_initial_phase))
+    return offsets
 
 
 # The compiled stream loop: its source, and the flags it must be built with
@@ -157,7 +182,8 @@ def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
 
 
 def _run_stream(
-    emissions: np.ndarray, phase_offsets: np.ndarray, config: ExperimentConfig, *, mzi: bool
+    emissions: np.ndarray, phase_offsets: np.ndarray, config: ExperimentConfig, *, mzi: bool,
+    buffers: Buffers | None = None,
 ) -> Run:
     """Sequential pass of a photon stream through the apparatus: its counts
     and its outcome arrays (see :data:`Run`).
@@ -166,15 +192,14 @@ def _run_stream(
     photon; the loop wraps each initial phase offset itself. It runs in the
     compiled kernel (``_kernel.c``) or, where that cannot be built, in
     :func:`_run_stream_py`, with a warning. Both take the same arguments and
-    write each photon's BS1 and BS2 outcome to an int8 array; the counts are
-    read from those.
+    write each photon's BS1 and BS2 outcome to an int8 array, ``buffers``'
+    if given; the counts are read from those.
     """
     if phase_offsets.shape != emissions.shape or emissions.ndim != 1:
         raise ValueError("emissions and phase offsets must be 1-d arrays of one length")
     loop = _load_kernel() or _run_stream_py
     n = emissions.size
-    bs1 = np.empty(n, np.int8)
-    bs2 = np.zeros(n, np.int8)
+    bs1, bs2 = (np.empty(n, np.int8), np.zeros(n, np.int8)) if buffers is None else buffers[2:]
     loop(emissions, phase_offsets, n, *_stream_params(config), mzi, bs1, bs2)
     d1 = int(np.count_nonzero(bs2 if mzi else bs1))
     return DetectorCounts(d1, n - d1), (emissions, bs1, bs2 if mzi else None)
@@ -224,13 +249,22 @@ def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
             raise ConfigError(f"{name} {nu!r} times the last arrival time {t_max!r} overflows")
 
 
-def _prepare_stream(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(config.validate().master_seed)
+def _prepare_stream(
+    config: ExperimentConfig, buffers: Buffers | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The emission times and initial phases of ``config``'s photons, drawn
+    into the first two of ``buffers`` if given."""
+    n = config.validate().photon_count
+    emissions = offsets = None
+    if buffers is not None:
+        _check_buffers(buffers, n)
+        emissions, offsets = buffers[:2]
+    rng = np.random.default_rng(config.master_seed)
     emissions = generate_emissions(
-        config.source_rate, config.photon_count, rng, law=config.inter_arrival_law
+        config.source_rate, n, rng, law=config.inter_arrival_law, out=emissions
     )
     _check_phase_range(config, float(emissions[-1]))
-    return emissions, _initial_offsets(config, rng)
+    return emissions, _initial_offsets(config, rng, out=offsets)
 
 
 def run_single_bs(config: ExperimentConfig) -> Run:
@@ -243,7 +277,7 @@ def run_single_bs(config: ExperimentConfig) -> Run:
     return _run_stream(*_prepare_stream(config), config, mzi=False)
 
 
-def run_mzi(config: ExperimentConfig) -> Run:
+def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
     """Full two-splitter run.
 
     Each photon travels ``base_path_length`` to BS1; a reflection there sends
@@ -253,12 +287,28 @@ def run_mzi(config: ExperimentConfig) -> Run:
     the whole stream, so photons are processed strictly in emission order.
     Returns the counts and ``(emissions, bs1, bs2)``: each photon's emission
     time and its BS1 and BS2 outcomes (1 = reflected).
+
+    ``buffers``, from :func:`photon_buffers` for ``config.photon_count``,
+    are filled in place, and the returned arrays are those buffers, so the
+    next run through them overwrites them. Without ``buffers`` the run
+    allocates its own.
     """
-    return _run_stream(*_prepare_stream(config), config, mzi=True)
+    return _run_stream(*_prepare_stream(config, buffers), config, mzi=True, buffers=buffers)
 
 
-def _sweep_point(config: ExperimentConfig) -> SweepPoint:
-    return SweepPoint(config.delta, run_mzi(config)[0])
+def _sweep_points(configs: list[ExperimentConfig]) -> list[SweepPoint]:
+    """One :func:`run_mzi` per config, in order, all through one buffer set
+    (the configs of a sweep share one photon count)."""
+    buffers = photon_buffers(configs[0].photon_count)
+    return [SweepPoint(c.delta, run_mzi(c, buffers)[0]) for c in configs]
+
+
+def _contiguous_slices(items: list, parts: int) -> list[list]:
+    """``items`` cut in order into ``parts`` slices whose lengths differ by
+    at most one."""
+    size, extra = divmod(len(items), parts)
+    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def point_config(config: ExperimentConfig, delta: float) -> ExperimentConfig:
@@ -287,18 +337,21 @@ def run_sweep(
 
     Each point's seed is a pure function of (master_seed, delta), so the
     result for a given delta does not depend on its position in the list and
-    points may be evaluated in parallel (up to ``jobs`` worker processes,
-    see :func:`pool_size`).
+    points may be evaluated in parallel: up to ``jobs`` worker processes
+    (see :func:`pool_size`), each taking one contiguous slice of the points.
+    Each worker, or the calling process for a serial sweep, runs its points
+    through one buffer set.
     """
     if not deltas:
         raise ValueError("sweep needs at least one delta")
     config.validate()
     configs = [point_config(config, d) for d in deltas]
     workers = pool_size(jobs, len(configs), os.cpu_count())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, configs))
-    return [_sweep_point(c) for c in configs]
+    if workers == 1:
+        return _sweep_points(configs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        slices = pool.map(_sweep_points, _contiguous_slices(configs, workers))
+        return [point for points in slices for point in points]
 
 
 def default_sweep_deltas(

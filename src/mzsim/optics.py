@@ -39,6 +39,7 @@ def generate_emissions(
     n: int,
     rng: np.random.Generator,
     law: str = "exponential",
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Emission times for ``n`` photons from a source of the given mean rate.
 
@@ -46,23 +47,36 @@ def generate_emissions(
     exponential by default, or ``uniform`` on [0, 2/rate], or ``fixed`` at
     exactly 1/rate. The returned float64 array (the cumulative sum of the
     gaps) is strictly increasing and fully determined by ``rng``'s state.
+    Given ``out``, a C-contiguous float64 array of length ``n``, the times
+    are written there and ``out`` is returned; the bytes and ``rng``'s end
+    state are the same as without it.
     """
     if not (math.isfinite(rate) and rate > 0.0):
         raise ValueError(f"source rate must be finite and > 0, got {rate!r}")
     if n < 0:
         raise ValueError(f"photon count must be >= 0, got {n!r}")
+    if out is None:
+        out = np.empty(n)
+    elif out.dtype != np.float64 or out.shape != (n,) or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous float64 array of shape ({n},), "
+            f"got {out.dtype} of shape {out.shape}"
+        )
     # standard draws scaled in place: the bits of rng.exponential / rng.uniform, faster
     if law == "exponential":
-        gaps, scale = rng.standard_exponential(n), 1.0 / rate
+        rng.standard_exponential(out=out)
+        scale = 1.0 / rate
     elif law == "uniform":
-        gaps, scale = rng.random(n), 2.0 / rate
+        rng.random(out=out)
+        scale = 2.0 / rate
     elif law == "fixed":
-        gaps, scale = np.ones(n), 1.0 / rate
+        out.fill(1.0)
+        scale = 1.0 / rate
     else:
         raise ValueError(f"unknown inter-arrival law {law!r}")
     with np.errstate(over="ignore"):  # a time past the double range is inf; runs refuse it
-        gaps *= scale
-        return np.cumsum(gaps, out=gaps)
+        out *= scale
+        return np.cumsum(out, out=out)
 
 
 def interact(p: float, s: float, alpha: float, beta: float) -> tuple[bool, float, float]:

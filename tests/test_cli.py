@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from mzsim import cli
 from mzsim.cli import main
 
 
@@ -270,6 +271,28 @@ def test_trace_without_json_output_is_a_single_line_error(tmp_path, monkeypatch,
     assert captured.err.startswith("error: --trace needs JSON output")
     assert len(captured.err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", ["sweep", "mzi"])
+def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch, capsys, command, target):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_sweep", must_not_run)
+    monkeypatch.setattr(cli, "run_mzi", must_not_run)
+    if target == "a-directory":
+        out = tmp_path / "r.csv"
+        out.mkdir()
+        reason = "it is a directory"
+    else:
+        out = tmp_path / "missing" / "r.csv"
+        reason = f"no directory {out.parent}"
+    assert run_cli(command, "--photons", "100", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == (["r.csv"] if out.is_dir() else [])
 
 
 def test_unknown_flag_fails_with_usage(capsys):

@@ -10,11 +10,13 @@ from mzsim.config import ConfigError, ExperimentConfig, SplitterConfig
 from mzsim.experiment import (
     default_sweep_deltas,
     derive_child_seed,
+    photon_buffers,
     point_config,
     pool_size,
     run_mzi,
     run_single_bs,
     run_sweep,
+    _contiguous_slices,
     _initial_offsets,
     _load_kernel,
     _prepare_stream,
@@ -190,7 +192,9 @@ def test_stream_loop_matches_reference_where_phases_pass_2_to_50(mzi, config):
     assert_kernel_fills_the_reference_arrays(config, mzi)
 
 
-below_two_pi = st.floats(TWO_PI - WRAP_SNAP, TWO_PI, exclude_max=True)
+# TWO_PI - WRAP_SNAP itself is excluded: TWO_PI minus it is not below
+# WRAP_SNAP, so it is the first value that does not snap.
+below_two_pi = st.floats(TWO_PI - WRAP_SNAP, TWO_PI, exclude_min=True, exclude_max=True)
 
 
 @needs_cc
@@ -202,7 +206,7 @@ below_two_pi = st.floats(TWO_PI - WRAP_SNAP, TWO_PI, exclude_max=True)
 @given(config=configs, data=st.data())
 def test_stream_loops_snap_initial_phases_just_below_two_pi(mzi, configured, config, data):
     """Each loop wraps the initial phases it reads, so raw phases in
-    [TWO_PI - WRAP_SNAP, TWO_PI) give the outcomes of the same phases
+    (TWO_PI - WRAP_SNAP, TWO_PI) give the outcomes of the same phases
     snapped to 0.0 beforehand, as wrap_phase snaps them."""
     if configured:
         config = replace(config, particle_initial_phase=data.draw(below_two_pi))
@@ -221,6 +225,32 @@ def test_stream_loops_snap_initial_phases_just_below_two_pi(mzi, configured, con
         for offsets in (raw, snapped):
             for got, want in zip(stream_outcomes(loop, config, mzi, offsets), expected):
                 np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=configs, second=configs)
+def test_runs_through_one_buffer_set_equal_fresh_runs(first, second):
+    """Back to back through one buffer set, each run gives the counts and
+    arrays of a run with fresh arrays: nothing of the one before leaks."""
+    second = replace(second, photon_count=first.photon_count)
+    buffers = photon_buffers(first.photon_count)
+    for config in (first, second):
+        fresh = run_mzi(config)
+        reused = run_mzi(config, buffers)
+        assert_same_run(reused, fresh)
+        emissions, _, bs1, bs2 = buffers
+        assert all(got is buf for got, buf in zip(reused[1], (emissions, bs1, bs2), strict=True))
+
+
+@pytest.mark.parametrize("buffer, bad", [
+    (0, np.empty(99)), (1, np.empty(100, np.float32)), (2, np.empty(101, np.int8)),
+    (3, np.empty(100)), (3, np.empty(200, np.int8)[::2]),
+], ids=["emissions-short", "offsets-float32", "bs1-long", "bs2-float64", "bs2-strided"])
+def test_run_refuses_buffers_that_do_not_fit(buffer, bad):
+    buffers = list(photon_buffers(100))
+    buffers[buffer] = bad
+    with pytest.raises(ValueError, match="buffer must be"):
+        run_mzi(small_config(photon_count=100), tuple(buffers))
 
 
 def test_reversed_stream_changes_splitter_memory():
@@ -285,6 +315,25 @@ def test_sweep_preserves_input_order():
     cfg = small_config(photon_count=500)
     deltas = [2.0, 0.5, 1.0]
     assert [p.delta for p in run_sweep(cfg, deltas)] == deltas
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_equals_one_run_per_point_on_uneven_slices(jobs):
+    # 7 points: a pool of 2 takes slices of 4 and 3, each through one buffer set
+    cfg = small_config(photon_count=700)
+    deltas = [0.0, 0.4, 1.1, 2.5, 3.3, 4.0, 5.9]
+    expected = [run_mzi(point_config(cfg, d))[0] for d in deltas]
+    assert [p.counts for p in run_sweep(cfg, deltas, jobs=jobs)] == expected
+
+
+@pytest.mark.parametrize("n, parts, lengths", [
+    (7, 2, [4, 3]), (7, 3, [3, 2, 2]), (50, 2, [25, 25]), (3, 3, [1, 1, 1]), (5, 1, [5]),
+])
+def test_contiguous_slices_keep_order_and_differ_by_at_most_one(n, parts, lengths):
+    items = list(range(n))
+    slices = _contiguous_slices(items, parts)
+    assert [len(s) for s in slices] == lengths
+    assert [x for s in slices for x in s] == items
 
 
 def test_sweep_parallel_matches_serial():

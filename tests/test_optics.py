@@ -109,6 +109,31 @@ def test_generate_emissions_is_the_cumulative_sum_of_the_gaps(law):
 
 
 @pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
+@pytest.mark.parametrize("n", [0, 1, 7, 100_000])
+def test_generate_emissions_into_out_is_the_same_draw(law, n):
+    # same bytes, and the generator left in the same state for the draws after
+    rng, reference = np.random.default_rng(23), np.random.default_rng(23)
+    out = np.full(n, np.nan)
+    got = generate_emissions(2.5, n, rng, law=law, out=out)
+    assert got is out
+    assert got.tobytes() == generate_emissions(2.5, n, reference, law=law).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "out", [np.empty(9), np.empty(11), np.empty(10, np.float32), np.empty((10, 1)),
+            np.empty(20)[::2]],
+    ids=["short", "long", "float32", "2-d", "strided"],
+)
+def test_generate_emissions_refuses_an_out_that_does_not_fit(out):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="out must be"):
+        generate_emissions(1.0, 10, rng, out=out)
+    assert rng.bit_generator.state == state  # nothing drawn
+
+
+@pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
 @pytest.mark.parametrize("rate", [1e-308, 1e-307])  # a gap, or only the sum, overflows
 def test_generate_emissions_overflow_is_inf_without_a_warning(law, rate):
     # the run refuses an infinite time with one error line; a numpy warning
