@@ -64,16 +64,18 @@ Buffers = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def photon_buffers(n: int) -> Buffers:
-    """Fresh ``(emissions, offsets, bs1, bs2)`` for runs of ``n`` photons.
-    ``bs2`` starts at 0, as a single-bs run leaves it."""
-    return np.empty(n), np.empty(n), np.empty(n, np.int8), np.zeros(n, np.int8)
+    """Fresh, unfilled ``(emissions, offsets, bs1, bs2)`` for runs of ``n``
+    photons."""
+    return np.empty(n), np.empty(n), np.empty(n, np.int8), np.empty(n, np.int8)
 
 
 def _check_buffers(buffers: Buffers, n: int) -> None:
-    """The loop writes ``n`` entries into each buffer, unchecked; refuse a
-    buffer set that does not hold them."""
-    names = ("emissions", "offsets", "bs1", "bs2")
-    for name, buf, like in zip(names, buffers, photon_buffers(0), strict=True):
+    """The loop reads and writes ``n`` entries of each buffer, unchecked;
+    refuse a buffer set that does not hold them. The emissions buffer is
+    left to :func:`~mzsim.optics.generate_emissions`, which checks its
+    ``out`` before drawing into it."""
+    names = ("offsets", "bs1", "bs2")
+    for name, buf, like in zip(names, buffers[1:], photon_buffers(0)[1:], strict=True):
         if buf.dtype != like.dtype or buf.shape != (n,) or not buf.flags.c_contiguous:
             raise ValueError(
                 f"{name} buffer must be a C-contiguous {like.dtype} array of shape ({n},), "
@@ -92,17 +94,17 @@ class SweepPoint:
 
 
 def _initial_offsets(
-    config: ExperimentConfig, rng: np.random.Generator, out: np.ndarray | None = None
+    config: ExperimentConfig, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
-    """Each photon's initial phase, unsnapped: the stream loop wraps it, so
-    a draw just below TWO_PI becomes 0 there. Written to ``out`` if given."""
-    offsets = np.empty(config.photon_count) if out is None else out
+    """Each photon's initial phase, unsnapped, written to ``out`` and
+    returned: the stream loop wraps it, so a draw just below TWO_PI becomes
+    0 there."""
     if config.particle_initial_phase is None:
-        rng.random(out=offsets)
-        offsets *= TWO_PI  # the bits of rng.uniform(0.0, TWO_PI, n)
+        rng.random(out=out)
+        out *= TWO_PI  # the bits of rng.uniform(0.0, TWO_PI, n)
     else:
-        offsets.fill(wrap_phase(config.particle_initial_phase))
-    return offsets
+        out.fill(wrap_phase(config.particle_initial_phase))
+    return out
 
 
 # The compiled stream loop: its source, and the flags it must be built with
@@ -181,26 +183,21 @@ def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
     )
 
 
-def _run_stream(
-    emissions: np.ndarray, phase_offsets: np.ndarray, config: ExperimentConfig, *, mzi: bool,
-    buffers: Buffers | None = None,
-) -> Run:
+def _run_stream(buffers: Buffers, config: ExperimentConfig, *, mzi: bool) -> Run:
     """Sequential pass of a photon stream through the apparatus: its counts
     and its outcome arrays (see :data:`Run`).
 
-    ``emissions`` and ``phase_offsets`` are float64 arrays, one entry per
-    photon; the loop wraps each initial phase offset itself. It runs in the
-    compiled kernel (``_kernel.c``) or, where that cannot be built, in
-    :func:`_run_stream_py`, with a warning. Both take the same arguments and
-    write each photon's BS1 and BS2 outcome to an int8 array, ``buffers``'
-    if given; the counts are read from those.
+    ``buffers`` holds the photons' emission times and initial phase offsets
+    (as :func:`_prepare_stream` leaves them); the loop wraps each initial
+    phase offset itself. It runs in the compiled kernel (``_kernel.c``) or,
+    where that cannot be built, in :func:`_run_stream_py`, with a warning.
+    Both take the same arguments and write each photon's BS1 and BS2
+    outcome to the last two buffers; the counts are read from those.
     """
-    if phase_offsets.shape != emissions.shape or emissions.ndim != 1:
-        raise ValueError("emissions and phase offsets must be 1-d arrays of one length")
+    emissions, offsets, bs1, bs2 = buffers
     loop = _load_kernel() or _run_stream_py
     n = emissions.size
-    bs1, bs2 = (np.empty(n, np.int8), np.zeros(n, np.int8)) if buffers is None else buffers[2:]
-    loop(emissions, phase_offsets, n, *_stream_params(config), mzi, bs1, bs2)
+    loop(emissions, offsets, n, *_stream_params(config), mzi, bs1, bs2)
     d1 = int(np.count_nonzero(bs2 if mzi else bs1))
     return DetectorCounts(d1, n - d1), (emissions, bs1, bs2 if mzi else None)
 
@@ -249,22 +246,18 @@ def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
             raise ConfigError(f"{name} {nu!r} times the last arrival time {t_max!r} overflows")
 
 
-def _prepare_stream(
-    config: ExperimentConfig, buffers: Buffers | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The emission times and initial phases of ``config``'s photons, drawn
-    into the first two of ``buffers`` if given."""
-    n = config.validate().photon_count
-    emissions = offsets = None
-    if buffers is not None:
-        _check_buffers(buffers, n)
-        emissions, offsets = buffers[:2]
+def _prepare_stream(config: ExperimentConfig, buffers: Buffers) -> Buffers:
+    """Draw the emission times and initial phases of a validated
+    ``config``'s photons into the first two of ``buffers``, once the set is
+    checked to hold them; returns ``buffers``."""
+    n = config.photon_count
+    emissions, offsets = buffers[:2]
+    _check_buffers(buffers, n)
     rng = np.random.default_rng(config.master_seed)
-    emissions = generate_emissions(
-        config.source_rate, n, rng, law=config.inter_arrival_law, out=emissions
-    )
+    generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law, out=emissions)
     _check_phase_range(config, float(emissions[-1]))
-    return emissions, _initial_offsets(config, rng, out=offsets)
+    _initial_offsets(config, rng, offsets)
+    return buffers
 
 
 def run_single_bs(config: ExperimentConfig) -> Run:
@@ -274,7 +267,8 @@ def run_single_bs(config: ExperimentConfig) -> Run:
     ``(emissions, bs1, None)``: each photon's emission time and its BS1
     outcome (1 = reflected).
     """
-    return _run_stream(*_prepare_stream(config), config, mzi=False)
+    buffers = photon_buffers(config.validate().photon_count)
+    return _run_stream(_prepare_stream(config, buffers), config, mzi=False)
 
 
 def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
@@ -293,7 +287,9 @@ def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
     next run through them overwrites them. Without ``buffers`` the run
     allocates its own.
     """
-    return _run_stream(*_prepare_stream(config, buffers), config, mzi=True, buffers=buffers)
+    n = config.validate().photon_count
+    buffers = photon_buffers(n) if buffers is None else buffers
+    return _run_stream(_prepare_stream(config, buffers), config, mzi=True)
 
 
 def _sweep_points(configs: list[ExperimentConfig]) -> list[SweepPoint]:

@@ -23,7 +23,6 @@ from mzsim.experiment import (
     _run_stream,
     _run_stream_py,
 )
-from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 from test_kernel import assert_same_run, needs_cc, stream_outcomes
 
@@ -105,7 +104,7 @@ def test_random_initial_offsets_are_uniform_draws():
     # state must be those of rng.uniform from the same state
     cfg = small_config()
     rng, reference = np.random.default_rng(31), np.random.default_rng(31)
-    got = _initial_offsets(cfg, rng)
+    got = _initial_offsets(cfg, rng, np.empty(cfg.photon_count))
     assert got.tobytes() == reference.uniform(0.0, TWO_PI, cfg.photon_count).tobytes()
     assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -186,7 +185,7 @@ streams_past_2_to_50 = st.builds(
 def test_stream_loop_matches_reference_where_phases_pass_2_to_50(mzi, config):
     """The kernel reduces phases with its own remainder below 2**50 and with
     fmod above; a stream whose nu*t climbs past 2**50 crosses both."""
-    emissions, _ = _prepare_stream(config)
+    emissions = _prepare_stream(config, photon_buffers(config.photon_count))[0]
     t_last = emissions[-1] + config.base_path_length
     assert config.particle_frequency * emissions[0] < 2**50 < config.particle_frequency * t_last
     assert_kernel_fills_the_reference_arrays(config, mzi)
@@ -212,7 +211,7 @@ def test_stream_loops_snap_initial_phases_just_below_two_pi(mzi, configured, con
         config = replace(config, particle_initial_phase=data.draw(below_two_pi))
         raw = np.full(config.photon_count, config.particle_initial_phase)
     else:
-        raw = _prepare_stream(config)[1]
+        raw = _prepare_stream(config, photon_buffers(config.photon_count))[1]
         picks = data.draw(st.lists(
             st.tuples(st.integers(0, raw.size - 1), below_two_pi), max_size=10))
         for i, phase in [(0, np.nextafter(TWO_PI, 0.0)), *picks]:
@@ -249,7 +248,7 @@ def test_runs_through_one_buffer_set_equal_fresh_runs(first, second):
 def test_run_refuses_buffers_that_do_not_fit(buffer, bad):
     buffers = list(photon_buffers(100))
     buffers[buffer] = bad
-    with pytest.raises(ValueError, match="buffer must be"):
+    with pytest.raises(ValueError, match="must be a C-contiguous"):
         run_mzi(small_config(photon_count=100), tuple(buffers))
 
 
@@ -257,13 +256,10 @@ def test_reversed_stream_changes_splitter_memory():
     # same photon set, opposite processing order: the states the splitters
     # accumulate differ, so later outcomes differ
     cfg = small_config(photon_count=3000, delta=1.7)
-    rng = np.random.default_rng(cfg.master_seed)
-    emissions = generate_emissions(
-        cfg.source_rate, cfg.photon_count, rng, law=cfg.inter_arrival_law
-    )
-    offsets = rng.uniform(0.0, TWO_PI, cfg.photon_count)
-    _, forward = _run_stream(emissions, offsets, cfg, mzi=True)
-    _, backward = _run_stream(emissions[::-1].copy(), offsets[::-1].copy(), cfg, mzi=True)
+    photons = _prepare_stream(cfg, photon_buffers(cfg.photon_count))
+    reversed_photons = tuple(a[::-1].copy() for a in photons)
+    _, forward = _run_stream(photons, cfg, mzi=True)
+    _, backward = _run_stream(reversed_photons, cfg, mzi=True)
     assert not all(np.array_equal(f, b[::-1]) for f, b in zip(forward, backward))
 
 

@@ -23,7 +23,7 @@ import pytest
 from mzsim import experiment
 from mzsim.config import ExperimentConfig
 from mzsim.experiment import (
-    _load_kernel, _prepare_stream, _stream_params, run_mzi, run_single_bs,
+    _load_kernel, _prepare_stream, _stream_params, photon_buffers, run_mzi, run_single_bs,
 )
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 
@@ -175,8 +175,8 @@ def stream_outcomes(loop, config, mzi, offsets=None):
     anything with its signature, for the prepared stream of ``config``, or
     for its emissions with the initial phases ``offsets`` if given.
     ``bs1`` starts at -1, so a photon the loop skips shows; ``bs2`` starts
-    at 0, as in ``experiment._run_stream``."""
-    emissions, prepared = _prepare_stream(config)
+    at 0, so both loops leave it alike in single-bs runs."""
+    emissions, prepared = _prepare_stream(config, photon_buffers(config.photon_count))[:2]
     offsets = prepared if offsets is None else offsets
     n = emissions.size
     bs1, bs2 = np.full(n, -1, np.int8), np.zeros(n, np.int8)
