@@ -14,7 +14,8 @@ import numpy as np
 from .phases import TWO_PI, wrap_phase
 
 _FREQ_SCAN_POINTS = 512
-_SCAN_ELEMENTS = 16 * 1024  # doubles per scan work array: 16 frequencies at 1024 rows
+_SCAN_ELEMENTS = 8 * 1024  # doubles per scan work array (five): 8 frequencies at 1024 rows
+_MAX_ADDED_ANGLE = 2.0**12  # largest |w*x| whose sines come by angle addition
 _MAX_GRAM_COND = 1e5  # scores of worse-conditioned frequencies are re-scored
 _MIN_FIT_POINTS = 8
 _GN_MAX_ITER = 100
@@ -102,14 +103,39 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     The grid spans [0.1, 10] times the fundamental 2*pi/span.
 
     The whole grid is ranked first from the 3x3 normal equations, with the
-    residual taken as ``y.y - coef.(X^T y)``, in passes of work arrays of at
-    most ``_SCAN_ELEMENTS`` doubles (one frequency at the least). That score
-    is exact only up to rounding, so the candidates are re-scored with
-    ``lstsq`` in grid order and the first smallest residual wins: every
-    frequency scoring within ``max(1e-6*|best|, 1e-9*y.y)`` of the best, and
-    every frequency whose Gram matrix is too ill-conditioned for its score
-    to be trusted. The pick is therefore the one an ``lstsq`` at every grid
-    frequency would make.
+    residual taken as ``y.y - coef.(X^T y)``, in blocks of
+    ``step = _SCAN_ELEMENTS // rows`` frequencies (one at the least), held in
+    five work arrays of ``step`` rows. That score is exact only up to
+    rounding, so the candidates are re-scored with ``lstsq`` in grid order
+    and the first smallest residual wins: every frequency scoring within
+    ``max(1e-6*|best|, 1e-9*y.y)`` of the best, and every frequency whose
+    Gram matrix is too ill-conditioned for its score to be trusted. The pick
+    is therefore the one an ``lstsq`` at every grid frequency would make.
+
+    The grid is evenly spaced, by h, so for ``w = grid[start] + m*h`` angle
+    addition gives ``sin(wx) = sin(grid[start]*x)*cos(mhx) +
+    cos(grid[start]*x)*sin(mhx)``, and the cosine likewise. The table of
+    ``sin(mhx)``, ``cos(mhx)`` for ``m < step`` is evaluated once per fit,
+    and each block evaluates only its first frequency.
+
+    Why that keeps the pick: let T = grid[-1]*max|x| bound every |wx|, and
+    u = 2**-53. The rounding of grid[start]*x, of mhx and of the grid points
+    each move an angle by a few u*T, and the table, the first row and the
+    sum add a few u, so each entry is within d = 10u(T + 1) of the
+    ``np.sin(fl(w*x))`` that ``lstsq`` sees (the most seen over random
+    sweeps is 4u(T + 1)). A trusted Gram matrix has trace 2n and condition number at
+    most K = ``_MAX_GRAM_COND``, so its coefficients have
+    ``|coef| <= |y|*sqrt(3K/2n)``, and moving the sine and cosine columns by
+    at most d moves the fitted residual r by at most ``d*|y|*sqrt(3K)`` and
+    the score by at most twice |r| times that. The band is at least the
+    geometric mean of its two terms, ``10**-7.5*|r||y|``, with r the best
+    frequency's residual, so the lstsq pick and the best-scoring frequency,
+    each that close to its own score, stay within it while
+    ``4d*sqrt(3K) <= 10**-7.5``, that is d <= 1.4e-11. Leaving half of
+    that to the normal equations' own rounding gives T + 1 <= 6500, and
+    ``_MAX_ADDED_ANGLE`` is the power of two below. Above it (a span far
+    from delta 0) every block's sines are evaluated directly, as
+    ``np.sin(fl(w*x))``, whose rounding is the reference's own.
     """
     grid = _frequency_grid(float(x.max()) - float(x.min()))
     assert grid is not None
@@ -118,19 +144,39 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     gram[:, 0, 0] = x.size
     rhs[:, 0] = y.sum()
     step = max(1, _SCAN_ELEMENTS // x.size)
+    sin_wx, cos_wx, work, sin_mhx, cos_mhx = np.empty((5, step, x.size))
+    by_addition = grid[-1] * float(np.abs(x).max()) <= _MAX_ADDED_ANGLE
+    if by_addition:
+        h = (grid[-1] - grid[0]) / (grid.size - 1)
+        np.multiply.outer(np.arange(step) * h, x, out=work)
+        np.sin(work, out=sin_mhx)
+        np.cos(work, out=cos_mhx)
     for start in range(0, grid.size, step):
-        block = slice(start, start + step)
-        wx = np.multiply.outer(grid[block], x)
-        sin_wx = np.sin(wx)
-        cos_wx = np.cos(wx)
+        k = min(step, grid.size - start)
+        block = slice(start, start + k)
+        s, c, t = sin_wx[:k], cos_wx[:k], work[:k]
+        if by_addition:
+            first = grid[start] * x
+            sin_first = np.sin(first)
+            cos_first = np.cos(first)
+            np.multiply(cos_mhx[:k], sin_first, out=s)
+            np.multiply(sin_mhx[:k], cos_first, out=t)
+            s += t
+            np.multiply(cos_mhx[:k], cos_first, out=c)
+            np.multiply(sin_mhx[:k], sin_first, out=t)
+            c -= t
+        else:
+            np.multiply.outer(grid[block], x, out=t)
+            np.sin(t, out=s)
+            np.cos(t, out=c)
         g = gram[block]
-        g[:, 0, 1] = g[:, 1, 0] = sin_wx.sum(axis=1)
-        g[:, 0, 2] = g[:, 2, 0] = cos_wx.sum(axis=1)
-        g[:, 1, 1] = np.einsum("ij,ij->i", sin_wx, sin_wx)
-        g[:, 1, 2] = g[:, 2, 1] = np.einsum("ij,ij->i", sin_wx, cos_wx)
-        g[:, 2, 2] = np.einsum("ij,ij->i", cos_wx, cos_wx)
-        rhs[block, 1] = sin_wx @ y
-        rhs[block, 2] = cos_wx @ y
+        g[:, 0, 1] = g[:, 1, 0] = s.sum(axis=1)
+        g[:, 0, 2] = g[:, 2, 0] = c.sum(axis=1)
+        g[:, 1, 1] = np.einsum("ij,ij->i", s, s)
+        g[:, 1, 2] = g[:, 2, 1] = np.einsum("ij,ij->i", s, c)
+        g[:, 2, 2] = np.einsum("ij,ij->i", c, c)
+        rhs[block, 1] = s @ y
+        rhs[block, 2] = c @ y
     trusted = _trusted_grams(gram)
     gram[~trusted] = np.eye(3)  # re-scored anyway; keeps solve from raising
     coef = np.linalg.solve(gram, rhs[..., None])[..., 0]

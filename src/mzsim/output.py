@@ -53,6 +53,28 @@ def _parse_error(row: list[str], exc: ValueError) -> str:
     return str(exc)
 
 
+def _sweep_point(row: list[str]) -> SweepPoint:
+    """One data row of a results table as a sweep point; a ValueError says
+    what is wrong with it (see :func:`read_sweep_csv`)."""
+    if len(row) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+    try:
+        delta, d1, d2, fraction = float(row[0]), int(row[1]), int(row[2]), float(row[3])
+        ci_lo, ci_hi = float(row[4]), float(row[5])
+    except ValueError as exc:
+        raise ValueError(_parse_error(row, exc)) from None
+    if not math.isfinite(delta):
+        raise ValueError(f"delta {_brief(row[0])} is not finite")
+    if not (math.isfinite(ci_lo) and math.isfinite(ci_hi)):
+        raise ValueError(f"interval [{_brief(row[4])}, {_brief(row[5])}] is not finite")
+    if d1 < 0 or d2 < 0 or not 0 < d1 + d2 <= _MAX_PHOTONS:
+        raise ValueError(f"counts d1={_brief(str(d1))}, d2={_brief(str(d2))} are not a sample")
+    expected = d1 / (d1 + d2)
+    if fraction != expected:
+        raise ValueError(f"d1_fraction {_brief(row[3])} is not d1/(d1+d2) = {expected!r}")
+    return SweepPoint(delta, DetectorCounts(d1, d2))
+
+
 def build_record(
     kind: str,
     config: ExperimentConfig,
@@ -144,31 +166,10 @@ def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
             for row in reader:
                 if not row:
                     continue
-                where = f"{path} line {reader.line_num}"
-                if len(row) != len(CSV_COLUMNS):
-                    raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
                 try:
-                    delta, d1, d2, fraction = float(row[0]), int(row[1]), int(row[2]), float(row[3])
-                    ci_lo, ci_hi = float(row[4]), float(row[5])
+                    points.append(_sweep_point(row))
                 except ValueError as exc:
-                    raise ValueError(f"{where}: {_parse_error(row, exc)}") from None
-                if not math.isfinite(delta):
-                    raise ValueError(f"{where}: delta {_brief(row[0])} is not finite")
-                if not (math.isfinite(ci_lo) and math.isfinite(ci_hi)):
-                    raise ValueError(
-                        f"{where}: interval [{_brief(row[4])}, {_brief(row[5])}] is not finite"
-                    )
-                if d1 < 0 or d2 < 0 or not 0 < d1 + d2 <= _MAX_PHOTONS:
-                    raise ValueError(
-                        f"{where}: counts d1={_brief(str(d1))}, d2={_brief(str(d2))} are not a sample"
-                    )
-                point = SweepPoint(delta, DetectorCounts(d1, d2))
-                if fraction != point.d1_fraction:
-                    raise ValueError(
-                        f"{where}: d1_fraction {_brief(row[3])} is not d1/(d1+d2)"
-                        f" = {point.d1_fraction!r}"
-                    )
-                points.append(point)
+                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     except csv.Error as exc:
         raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     except OSError as exc:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -223,11 +224,15 @@ def assert_scan_matches_reference(x, y):
 def scan_inputs(draw):
     n = draw(st.integers(8, 1200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    spacing = draw(st.sampled_from(["even", "uneven", "repeated-even", "repeated-uneven"]))
+    spacing = draw(st.sampled_from(["even", "uneven", "shifted", "repeated-even", "repeated-uneven"]))
     if spacing == "even":
         x = np.linspace(0.0, rng.uniform(0.5, 30.0), n)
     elif spacing == "uneven":
         x = np.sort(rng.uniform(-5.0, 20.0, n))
+    elif spacing == "shifted":  # 1 to 1e6 spans from delta 0: both sides of _MAX_ADDED_ANGLE
+        span = rng.uniform(0.5, 30.0)
+        shift = span * 10.0 ** rng.uniform(0.0, 6.0) * rng.choice([-1.0, 1.0])
+        x = shift + np.sort(rng.uniform(0.0, span, n))
     else:  # down to 2 distinct deltas, where every Gram matrix is singular
         k = draw(st.integers(2, 6))
         if spacing == "repeated-even":
@@ -268,6 +273,38 @@ def test_scan_matches_one_lstsq_per_frequency(inputs):
 )
 def test_scan_rescores_frequencies_whose_gram_is_ill_conditioned(x, y):
     assert_scan_matches_reference(np.array(x), np.array(y))
+
+
+@pytest.mark.parametrize("spans", [1e3, 1e12])
+def test_scan_matches_reference_far_from_delta_zero(spans):
+    # Every |w*x| here is above _MAX_ADDED_ANGLE, so the sines are evaluated
+    # directly: built by angle addition instead, they miss the reference's
+    # pick on some of these draws at 1e12 spans.
+    span = 2.5
+    x = spans * span + np.linspace(0.0, span, 200)
+    assert x.max() * analysis._frequency_grid(span).max() > analysis._MAX_ADDED_ANGLE
+    rng = np.random.default_rng(1811)
+    for _ in range(40):
+        y = 0.5 + 0.25 * np.sin(TWO_PI * (x - x[0]) / span * rng.uniform(0.2, 5.0) + rng.uniform(0.0, TWO_PI))
+        assert_scan_matches_reference(x, y + rng.normal(0.0, 0.05, x.size))
+
+
+@pytest.mark.parametrize("rows", [50, 600, 1000, 5000])
+def test_scan_memory_is_bounded(rows):
+    # 768 KiB: the scan with sines built per block peaked at 540-690 KiB over
+    # these sizes; its work arrays are five of _SCAN_ELEMENTS doubles
+    # (320 KiB). Stacking all blocks into one matrix product peaked at
+    # 4.1 MiB at 1000 rows.
+    x = np.linspace(0.0, 2 * TWO_PI, rows)
+    y = 0.5 + 0.25 * np.sin(x + 0.3) + np.random.default_rng(rows).normal(0.0, 0.01, rows)
+    _scan_frequency(x, y)
+    tracemalloc.start()
+    try:
+        _scan_frequency(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 768 * 1024
 
 
 # ---------------------------------------------------------------------------
