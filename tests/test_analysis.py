@@ -285,16 +285,18 @@ def test_scan_matches_reference_far_from_delta_zero(spans):
     assert x.max() * analysis._frequency_grid(span).max() > analysis._MAX_ADDED_ANGLE
     rng = np.random.default_rng(1811)
     for _ in range(40):
-        y = 0.5 + 0.25 * np.sin(TWO_PI * (x - x[0]) / span * rng.uniform(0.2, 5.0) + rng.uniform(0.0, TWO_PI))
-        assert_scan_matches_reference(x, y + rng.normal(0.0, 0.05, x.size))
+        phase = TWO_PI * (x - x[0]) / span * rng.uniform(0.2, 5.0) + rng.uniform(0.0, TWO_PI)
+        y = 0.5 + 0.25 * np.sin(phase) + rng.normal(0.0, 0.05, x.size)
+        assert_scan_matches_reference(x, y)
 
 
 @pytest.mark.parametrize("rows", [50, 600, 1000, 5000])
 def test_scan_memory_is_bounded(rows):
-    # 768 KiB: the scan with sines built per block peaked at 540-690 KiB over
-    # these sizes; its work arrays are five of _SCAN_ELEMENTS doubles
-    # (320 KiB). Stacking all blocks into one matrix product peaked at
-    # 4.1 MiB at 1000 rows.
+    # The bound, 768 KiB: evaluating every block's sines directly, with
+    # blocks of 16384 // rows frequencies, peaked at 540-690 KiB over these
+    # sizes; the five work arrays of _SCAN_ELEMENTS doubles are 320 KiB; a
+    # scan stacking all blocks into one matrix product peaked at 4.1 MiB at
+    # 1000 rows.
     x = np.linspace(0.0, 2 * TWO_PI, rows)
     y = 0.5 + 0.25 * np.sin(x + 0.3) + np.random.default_rng(rows).normal(0.0, 0.01, rows)
     _scan_frequency(x, y)
