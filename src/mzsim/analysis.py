@@ -4,7 +4,6 @@ sinusoid fitting, and the ideal interferometer reference curve.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -20,27 +19,20 @@ _MAX_GRAM_COND = 1e5  # scores of worse-conditioned frequencies are re-scored
 _MIN_FIT_POINTS = 8
 _GN_MAX_ITER = 100
 _GN_MAX_HALVINGS = 25
+_Z95 = NormalDist().inv_cdf(0.5 + 0.95 / 2.0)  # two-sided 95% standard normal quantile
 
 
-@functools.lru_cache(maxsize=16)
-def _z_value(confidence: float) -> float:
-    """The two-sided standard normal quantile for ``confidence``."""
-    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
-
-
-def binomial_ci(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation confidence interval ``(lo, hi)`` for a binomial
-    proportion: ``p +- z * sqrt(p*(1-p)/n)`` with ``p = successes/trials``,
-    clamped to [0, 1].
+def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
+    """Normal-approximation 95% confidence interval ``(lo, hi)`` for a
+    binomial proportion: ``p +- z * sqrt(p*(1-p)/n)`` with
+    ``p = successes/trials``, clamped to [0, 1].
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, trials], got {successes!r}/{trials!r}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     p = successes / trials
-    half = _z_value(confidence) * math.sqrt(p * (1.0 - p) / trials)
+    half = _Z95 * math.sqrt(p * (1.0 - p) / trials)
     return max(0.0, p - half), min(1.0, p + half)
 
 

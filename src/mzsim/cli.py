@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .analysis import SineFit, binomial_ci, can_fit, compare_to_qm, fit_sine, visibility
 from .config import ExperimentConfig, load_config
-from .experiment import SweepPoint, default_sweep_deltas, run_mzi, run_single_bs, run_sweep
+from .experiment import default_sweep_deltas, run_mzi, run_single_bs, run_sweep
 from .output import build_record, read_sweep_csv, write_csv, write_json
 
 
@@ -125,16 +125,15 @@ def _run_one(args: argparse.Namespace) -> int:
     kind = args.command
     cfg = _effective_config(args)
     runner = run_single_bs if kind == "single-bs" else run_mzi
-    counts, trace = runner(cfg)
-    frac = counts.d1_fraction
-    confidence = 0.95
-    lo, hi = binomial_ci(counts.d1, counts.total, confidence)
+    (d1, d2), trace = runner(cfg)
+    frac = d1 / (d1 + d2)
+    lo, hi = binomial_ci(d1, d1 + d2)
     if args.out:
-        analysis = {"d1_fraction": frac, "ci_lo": lo, "ci_hi": hi, "confidence": confidence}
-        points = [SweepPoint(cfg.delta, counts)]
-        _emit(build_record(kind, cfg, points, analysis, trace=trace if args.trace else None), args)
+        analysis = {"d1_fraction": frac, "ci_lo": lo, "ci_hi": hi, "confidence": 0.95}
+        rows = [(cfg.delta, d1, d2)]
+        _emit(build_record(kind, cfg, rows, analysis, trace=trace if args.trace else None), args)
     print(
-        f"{kind}: photons={counts.total} d1={counts.d1} d2={counts.d2} "
+        f"{kind}: photons={d1 + d2} d1={d1} d2={d2} "
         f"d1_fraction={frac:.6f} ci95=[{lo:.6f}, {hi:.6f}]"
     )
     return 0
@@ -144,8 +143,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_out(args)
     cfg = _effective_config(args)
     deltas = default_sweep_deltas(cfg, steps=args.steps, delta_max=args.delta_max)
-    points = run_sweep(cfg, deltas, jobs=args.parallel)
-    fractions = [p.d1_fraction for p in points]
+    counts = run_sweep(cfg, deltas, jobs=args.parallel)
+    fractions = [d1 / (d1 + d2) for d1, d2 in counts]
     fit = fit_sine(list(zip(deltas, fractions))) if can_fit(deltas) else None
     qm = compare_to_qm(deltas, fractions, cfg.particle_frequency)
     if args.out:
@@ -160,7 +159,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "max_abs_residual": max(abs(r) for r in qm.residuals),
             },
         }
-        _emit(build_record("sweep", cfg, points, analysis), args)
+        rows = [(delta, d1, d2) for delta, (d1, d2) in zip(deltas, counts)]
+        _emit(build_record("sweep", cfg, rows, analysis), args)
     print(
         f"sweep: {len(deltas)} points, photons/point={cfg.photon_count}, "
         f"visibility={qm.model_visibility:.4f}"
@@ -171,25 +171,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    points = read_sweep_csv(args.results)
-    pairs = [(p.delta, p.d1_fraction) for p in points]
+    rows = read_sweep_csv(args.results)
+    pairs = [(delta, d1 / (d1 + d2)) for delta, d1, d2 in rows]
     if can_fit([d for d, _ in pairs]):
         _print_fit(fit_sine(pairs), 6)
     else:
         print("fit: skipped (needs at least 8 rows with 2 distinct deltas and a finite span)")
     print(f"visibility: {visibility([f for _, f in pairs]):.6f}")
     print("delta,d1_fraction,ci_lo,ci_hi")
-    for p in points:
-        lo, hi = binomial_ci(p.counts.d1, p.counts.total)
-        print(f"{p.delta},{p.d1_fraction:.6f},{lo:.6f},{hi:.6f}")
+    for delta, d1, d2 in rows:
+        lo, hi = binomial_ci(d1, d1 + d2)
+        print(f"{delta},{d1 / (d1 + d2):.6f},{lo:.6f},{hi:.6f}")
     return 0
 
 
 def cmd_compare_qm(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
-    points = read_sweep_csv(args.results)
+    rows = read_sweep_csv(args.results)
     qm = compare_to_qm(
-        [p.delta for p in points], [p.d1_fraction for p in points], cfg.particle_frequency
+        [delta for delta, _, _ in rows], [d1 / (d1 + d2) for _, d1, d2 in rows],
+        cfg.particle_frequency,
     )
     rms = (sum(r * r for r in qm.residuals) / len(qm.residuals)) ** 0.5
     print(

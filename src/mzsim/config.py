@@ -141,6 +141,8 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
     if not text.strip():
         return ExperimentConfig().validate()
     try:

@@ -20,13 +20,13 @@ import struct
 import subprocess
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .optics import DetectorCounts, generate_emissions, interact
+from .optics import generate_emissions, interact
 from .phases import TWO_PI, wrap_phase
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -53,10 +53,11 @@ def _delta_bits(delta: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(delta)))[0]
 
 
-# What a single run returns: its counts and its outcome arrays (emissions,
-# bs1, bs2), one entry per photon in emission order; bs1 and bs2 are int8, 1
-# where the photon reflected there, and bs2 is None in single-bs runs.
-Run = tuple[DetectorCounts, tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+# What a single run returns: its detector counts (d1, d2) and its outcome
+# arrays (emissions, bs1, bs2), one entry per photon in emission order; bs1
+# and bs2 are int8, 1 where the photon reflected there, and bs2 is None in
+# single-bs runs.
+Run = tuple[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 # The arrays a run fills, one entry per photon: emission times and initial
 # phases (float64), then the BS1 and BS2 outcomes (int8).
@@ -81,16 +82,6 @@ def _check_buffers(buffers: Buffers, n: int) -> None:
                 f"{name} buffer must be a C-contiguous {like.dtype} array of shape ({n},), "
                 f"got {buf.dtype} of shape {buf.shape}"
             )
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    delta: float
-    counts: DetectorCounts
-
-    @property
-    def d1_fraction(self) -> float:
-        return self.counts.d1_fraction
 
 
 def _initial_offsets(
@@ -199,7 +190,7 @@ def _run_stream(buffers: Buffers, config: ExperimentConfig, *, mzi: bool) -> Run
     n = emissions.size
     loop(emissions, offsets, n, *_stream_params(config), mzi, bs1, bs2)
     d1 = int(np.count_nonzero(bs2 if mzi else bs1))
-    return DetectorCounts(d1, n - d1), (emissions, bs1, bs2 if mzi else None)
+    return (d1, n - d1), (emissions, bs1, bs2 if mzi else None)
 
 
 def _run_stream_py(
@@ -292,11 +283,11 @@ def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
     return _run_stream(_prepare_stream(config, buffers), config, mzi=True)
 
 
-def _sweep_points(configs: list[ExperimentConfig]) -> list[SweepPoint]:
-    """One :func:`run_mzi` per config, in order, all through one buffer set
-    (the configs of a sweep share one photon count)."""
+def _sweep_points(configs: list[ExperimentConfig]) -> list[tuple[int, int]]:
+    """The ``(d1, d2)`` of one :func:`run_mzi` per config, in order, all
+    through one buffer set (the configs of a sweep share one photon count)."""
     buffers = photon_buffers(configs[0].photon_count)
-    return [SweepPoint(c.delta, run_mzi(c, buffers)[0]) for c in configs]
+    return [run_mzi(c, buffers)[0] for c in configs]
 
 
 def _contiguous_slices(items: list, parts: int) -> list[list]:
@@ -328,8 +319,8 @@ def run_sweep(
     config: ExperimentConfig,
     deltas: list[float],
     jobs: int = 1,
-) -> list[SweepPoint]:
-    """One :func:`run_mzi` per delta, in input order.
+) -> list[tuple[int, int]]:
+    """The ``(d1, d2)`` of one :func:`run_mzi` per delta, in input order.
 
     Each point's seed is a pure function of (master_seed, delta), so the
     result for a given delta does not depend on its position in the list and
@@ -347,7 +338,7 @@ def run_sweep(
         return _sweep_points(configs)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         slices = pool.map(_sweep_points, _contiguous_slices(configs, workers))
-        return [point for points in slices for point in points]
+        return [counts for part in slices for counts in part]
 
 
 def default_sweep_deltas(

@@ -1,5 +1,4 @@
-"""Apparatus elements: the photon source, the beam-splitter rule, and
-detector counters.
+"""Apparatus elements: the photon source and the beam-splitter rule.
 
 A beam splitter here is not a probabilistic 50/50 element: it routes each
 photon deterministically by comparing the photon's instantaneous phase with
@@ -11,27 +10,12 @@ the reference statement of that rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .phases import wrap_phase
 
 INTER_ARRIVAL_LAWS = ("exponential", "uniform", "fixed")
-
-
-@dataclass(frozen=True)
-class DetectorCounts:
-    d1: int
-    d2: int
-
-    @property
-    def total(self) -> int:
-        return self.d1 + self.d2
-
-    @property
-    def d1_fraction(self) -> float:
-        return self.d1 / self.total
 
 
 def generate_emissions(

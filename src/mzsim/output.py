@@ -21,8 +21,6 @@ import numpy as np
 from . import __version__
 from .analysis import binomial_ci
 from .config import ExperimentConfig
-from .experiment import SweepPoint
-from .optics import DetectorCounts
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("delta", "d1", "d2", "d1_fraction", "ci_lo", "ci_hi")
@@ -53,9 +51,9 @@ def _parse_error(row: list[str], exc: ValueError) -> str:
     return str(exc)
 
 
-def _sweep_point(row: list[str]) -> SweepPoint:
-    """One data row of a results table as a sweep point; a ValueError says
-    what is wrong with it (see :func:`read_sweep_csv`)."""
+def _sweep_row(row: list[str]) -> tuple[float, int, int]:
+    """One data row of a results table as ``(delta, d1, d2)``; a ValueError
+    says what is wrong with it (see :func:`read_sweep_csv`)."""
     if len(row) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
     try:
@@ -72,19 +70,20 @@ def _sweep_point(row: list[str]) -> SweepPoint:
     expected = d1 / (d1 + d2)
     if fraction != expected:
         raise ValueError(f"d1_fraction {_brief(row[3])} is not d1/(d1+d2) = {expected!r}")
-    return SweepPoint(delta, DetectorCounts(d1, d2))
+    return delta, d1, d2
 
 
 def build_record(
     kind: str,
     config: ExperimentConfig,
-    points: list[SweepPoint],
+    rows: list[tuple[float, int, int]],
     analysis: dict | None = None,
     trace: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None,
     timestamp: str | None = None,
 ) -> dict:
     """The record of a run, ready for ``json.dump``; ``kind`` is
-    ``"single-bs"``, ``"mzi"`` or ``"sweep"``. ``trace`` is a run's outcome
+    ``"single-bs"``, ``"mzi"`` or ``"sweep"``, and ``rows`` holds each
+    point's ``(delta, d1, d2)``. ``trace`` is a run's outcome
     arrays ``(emissions, bs1, bs2)`` (see :data:`mzsim.experiment.Run`), and
     each photon becomes the row
     ``[emitted_at, "reflect"|"transmit", "path1"|"path2", "reflect"|"transmit"|null]``:
@@ -97,13 +96,8 @@ def build_record(
         "kind": kind,
         "config": asdict(config),
         "points": [
-            {
-                "delta": p.delta,
-                "d1": p.counts.d1,
-                "d2": p.counts.d2,
-                "d1_fraction": p.d1_fraction,
-            }
-            for p in points
+            {"delta": delta, "d1": d1, "d2": d2, "d1_fraction": d1 / (d1 + d2)}
+            for delta, d1, d2 in rows
         ],
         "analysis": analysis,
         "provenance": {
@@ -146,15 +140,17 @@ def write_csv(record: dict, path: str | os.PathLike) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
-    """Read back a results table written by :func:`write_csv`.
+def read_sweep_csv(path: str | os.PathLike) -> list[tuple[float, int, int]]:
+    """Read back the ``(delta, d1, d2)`` rows of a results table written by
+    :func:`write_csv`.
 
     Every row must have all six fields, a finite delta and finite interval
     bounds, integer counts with a total from 1 to ``2**63 - 1`` (the most
     photons a run can count), and a ``d1_fraction`` equal to ``d1/(d1+d2)``;
     anything else, a field over the ``csv`` module's size limit included, is
-    a ValueError naming the file and line. The interval is recomputed from
-    the counts wherever it is used.
+    a ValueError naming the file and line, and so is a file that is not
+    UTF-8 text. The fraction and interval are recomputed from the counts
+    wherever they are used.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -162,18 +158,20 @@ def read_sweep_csv(path: str | os.PathLike) -> list[SweepPoint]:
             header = next(reader, None)
             if header is None or tuple(header) != CSV_COLUMNS:
                 raise ValueError(f"{path} is not a results table (header {header!r})")
-            points = []
+            rows = []
             for row in reader:
                 if not row:
                     continue
                 try:
-                    points.append(_sweep_point(row))
+                    rows.append(_sweep_row(row))
                 except ValueError as exc:
                     raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     except csv.Error as exc:
         raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path} is not UTF-8 text") from None
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    if not points:
+    if not rows:
         raise ValueError(f"{path} contains no data rows")
-    return points
+    return rows

@@ -18,8 +18,6 @@ from mzsim.analysis import (
     qm_reference,
     visibility,
 )
-from mzsim.experiment import SweepPoint
-from mzsim.optics import DetectorCounts
 from mzsim.phases import TWO_PI
 
 Z_975 = 1.9599639845400536  # standard normal 97.5% quantile
@@ -30,18 +28,18 @@ Z_975 = 1.9599639845400536  # standard normal 97.5% quantile
 
 
 def test_ci_degenerate_zero():
-    lo, _ = binomial_ci(0, 50, 0.95)
+    lo, _ = binomial_ci(0, 50)
     assert lo == 0.0
 
 
 def test_ci_degenerate_full():
-    _, hi = binomial_ci(50, 50, 0.95)
+    _, hi = binomial_ci(50, 50)
     assert hi == 1.0
 
 
 def test_ci_half_at_1e5():
     # oracle: direct formula with the frozen quantile
-    lo, hi = binomial_ci(50_000, 100_000, 0.95)
+    lo, hi = binomial_ci(50_000, 100_000)
     half = Z_975 * math.sqrt(0.25 / 100_000)
     assert lo == pytest.approx(0.5 - half, abs=1e-12)
     assert hi == pytest.approx(0.5 + half, abs=1e-12)
@@ -62,36 +60,15 @@ def test_ci_rejects_bad_arguments():
         binomial_ci(5, 4)
     with pytest.raises(ValueError):
         binomial_ci(-1, 4)
-    with pytest.raises(ValueError):
-        binomial_ci(1, 4, confidence=1.0)
 
 
-@pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("confidence", [0.95])
 def test_ci_matches_the_uncached_quantile(confidence):
     for successes, trials in [(0, 7), (3, 7), (50_000, 100_000), (99_999, 100_000)]:
         p = successes / trials
         z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
         half = z * math.sqrt(p * (1.0 - p) / trials)
-        assert binomial_ci(successes, trials, confidence) == (max(0.0, p - half), min(1.0, p + half))
-
-
-def test_ci_computes_the_quantile_once_per_confidence(monkeypatch):
-    quantiles = []
-
-    class CountingNormalDist(NormalDist):
-        def inv_cdf(self, p):
-            quantiles.append(p)
-            return super().inv_cdf(p)
-
-    monkeypatch.setattr(analysis, "NormalDist", CountingNormalDist)
-    analysis._z_value.cache_clear()
-    try:
-        for successes in range(200):
-            binomial_ci(successes, 200, 0.9)
-            binomial_ci(successes, 200, 0.99)
-    finally:
-        analysis._z_value.cache_clear()
-    assert quantiles == [0.5 + 0.9 / 2.0, 0.5 + 0.99 / 2.0]
+        assert binomial_ci(successes, trials) == (max(0.0, p - half), min(1.0, p + half))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +307,8 @@ def fabricated_sweep(deltas, fractions):
     """``(deltas, fractions)`` as a sweep would report them, with each
     fraction derived from counts. d1/(d1+d2) is exactly f: a float is a ratio
     of integers, and int/int division rounds correctly."""
-    ratios = [Fraction(f) for f in fractions]
-    points = [
-        SweepPoint(d, DetectorCounts(r.numerator, r.denominator - r.numerator))
-        for d, r in zip(deltas, ratios)
-    ]
-    return [p.delta for p in points], [p.d1_fraction for p in points]
+    counts = [(r.numerator, r.denominator - r.numerator) for r in map(Fraction, fractions)]
+    return deltas, [d1 / (d1 + d2) for d1, d2 in counts]
 
 
 def test_compare_to_qm_zero_residuals_for_ideal_sweep():

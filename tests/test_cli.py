@@ -5,7 +5,11 @@ import warnings
 import pytest
 
 from mzsim import cli
+from mzsim.analysis import binomial_ci
 from mzsim.cli import main
+from mzsim.config import ExperimentConfig
+from mzsim.output import build_record, write_csv
+from test_output import LARGE_COUNT_ROWS
 
 
 def run_cli(*argv):
@@ -230,6 +234,7 @@ def test_sweep_json_fit_block_has_the_fit_fields(tmp_path):
     [("0.0,5,5,0.5,0", "expected 6 fields"),
      ("0.0,5,5,0.9,0,1", "is not d1/(d1+d2)"),
      ("0.0,0,0,0.0,0,0", "not a sample"),
+     pytest.param(f"0.0,{2**62},{2**62},0.5,0,1", "are not a sample", id="total-2**63"),
      ("nan,5,5,0.5,0,1", "line 2: delta nan is not finite"),
      ("inf,5,5,0.5,0,1", "line 2: delta inf is not finite"),
      ("0.0,5.0,5,0.5,0,1", "line 2: invalid literal for int()"),
@@ -374,6 +379,33 @@ def test_photon_count_too_large_to_allocate_is_a_single_line_error(tmp_path, cap
     assert captured.err.startswith("error:")
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+def test_analyze_prints_fractions_of_counts_up_to_2_63(tmp_path, capsys):
+    path = tmp_path / "large.csv"
+    write_csv(build_record("sweep", ExperimentConfig(), LARGE_COUNT_ROWS, None), path)
+    assert run_cli("analyze", str(path)) == 0
+    table = capsys.readouterr().out.splitlines()[3:]
+    assert table == [
+        f"{delta},{d1 / (d1 + d2):.6f},{lo:.6f},{hi:.6f}"
+        for delta, d1, d2 in LARGE_COUNT_ROWS
+        for lo, hi in [binomial_ci(d1, d1 + d2)]
+    ]
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare-qm", "config"])
+def test_input_that_is_not_utf8_is_a_single_line_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.txt"
+    if command == "config":
+        path.write_bytes(b'{"master_seed": 7, "note": "caf\xe9"}\n')
+        argv, expected = ("mzi", "--config", str(path)), f"config file {path}"
+    else:
+        path.write_bytes(b"delta,d1,d2,d1_fraction,ci_lo,ci_hi\n0.\xff,1,1,0.5,0,1\n")
+        argv, expected = (command, str(path)), str(path)
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {expected} is not UTF-8 text\n"
 
 
 def test_analyze_missing_file_fails(tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mzsim.optics import INTER_ARRIVAL_LAWS, DetectorCounts, generate_emissions, interact
+from mzsim.optics import INTER_ARRIVAL_LAWS, generate_emissions, interact
 from mzsim.phases import TWO_PI
 
 
@@ -47,12 +47,6 @@ def test_transmission_is_side_effect_free(p, s):
 
 def test_identity_update_reflects_without_phase_change():
     assert interact(0.9, 0.6, 1.0, 0.0) == (True, 0.9, 0.6)
-
-
-def test_detector_counts_accessors():
-    counts = DetectorCounts(3, 7)
-    assert counts.total == 10
-    assert counts.d1_fraction == pytest.approx(0.3)
 
 
 def test_generate_emissions_empty():

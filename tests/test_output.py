@@ -1,11 +1,10 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mzsim.config import ExperimentConfig
-from mzsim.experiment import SweepPoint
-from mzsim.optics import DetectorCounts
 from mzsim.output import (
     CSV_COLUMNS,
     build_record,
@@ -15,10 +14,17 @@ from mzsim.output import (
 )
 
 
+# (delta, d1, d2) rows whose totals run from 2**53 + 1, past what a double
+# holds exactly, to 2**63 - 1, the most photons a run can count. For the
+# first, float(d1) / float(d1 + d2) is one ulp off the exact ratio.
+LARGE_COUNT_ROWS = [
+    (0.25 * i, total * (i + 1) // 12, total - total * (i + 1) // 12)
+    for i, total in enumerate([2**k + 1 for k in range(53, 63)] + [2**63 - 1])
+]
+
+
 def one_point_record(timestamp="2024-01-01T00:00:00+00:00"):
-    counts = DetectorCounts(1, 2)
-    point = SweepPoint(1 / 3, counts)
-    return build_record("sweep", ExperimentConfig(), [point], {"visibility": 0.5},
+    return build_record("sweep", ExperimentConfig(), [(1 / 3, 1, 2)], {"visibility": 0.5},
                         timestamp=timestamp)
 
 
@@ -41,12 +47,9 @@ def test_csv_floats_round_trip_exactly(tmp_path):
     path = tmp_path / "out.csv"
     record = one_point_record()
     write_csv(record, path)
-    points = read_sweep_csv(path)
-    assert len(points) == 1
     (written,) = record["points"]
-    assert points[0].delta == written["delta"]  # bit-exact via repr
-    assert points[0].d1_fraction == written["d1_fraction"]
-    assert points[0].counts == DetectorCounts(written["d1"], written["d2"])
+    # bit-exact via repr
+    assert read_sweep_csv(path) == [(written["delta"], written["d1"], written["d2"])]
 
 
 def test_json_round_trip_equality(tmp_path):
@@ -62,7 +65,7 @@ def trace_rows(kind, trace):
     record = build_record(
         kind,
         ExperimentConfig(),
-        [SweepPoint(0.0, DetectorCounts(1, 1))],
+        [(0.0, 1, 1)],
         None,
         trace=trace,
         timestamp="2024-01-01T00:00:00+00:00",
@@ -110,9 +113,19 @@ def test_read_rejects_empty_table(tmp_path):
 
 
 def test_sweep_point_fraction_is_derived_from_counts():
-    point = SweepPoint(0.5, DetectorCounts(3, 7))
-    assert point.d1_fraction == 0.3
+    record = build_record("sweep", ExperimentConfig(), [(0.5, 3, 7)], None)
+    assert record["points"][0]["d1_fraction"] == 0.3
     assert one_point_record()["points"][0]["d1_fraction"] == 1 / 3
+
+
+def test_counts_past_2_53_round_trip_with_exact_fractions(tmp_path):
+    path = tmp_path / "large.csv"
+    record = build_record("sweep", ExperimentConfig(), LARGE_COUNT_ROWS, None)
+    assert [p["d1_fraction"] for p in record["points"]] == [
+        float(Fraction(d1, d1 + d2)) for _, d1, d2 in LARGE_COUNT_ROWS
+    ]
+    write_csv(record, path)
+    assert read_sweep_csv(path) == LARGE_COUNT_ROWS
 
 
 def test_write_error_carries_path_context(tmp_path):
