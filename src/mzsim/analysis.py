@@ -87,12 +87,12 @@ def _trusted_grams(gram: np.ndarray) -> np.ndarray:
     return det > np.maximum(trace * minors / _MAX_GRAM_COND, floor)
 
 
-def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Pick the best frequency from a fixed grid by linear projection.
+def _scan_frequency(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> tuple[float, np.ndarray]:
+    """Pick the best frequency from ``grid`` (see :func:`_frequency_grid`) by
+    linear projection.
 
     For each candidate w the model ``c0 + a*sin(wx) + b*cos(wx)`` is linear;
     the candidate with the smallest residual seeds the nonlinear refinement.
-    The grid spans [0.1, 10] times the fundamental 2*pi/span.
 
     The whole grid is ranked first from the 3x3 normal equations, with the
     residual taken as ``y.y - coef.(X^T y)``, in blocks of
@@ -129,8 +129,6 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     from delta 0) every block's sines are evaluated directly, as
     ``np.sin(fl(w*x))``, whose rounding is the reference's own.
     """
-    grid = _frequency_grid(float(x.max()) - float(x.min()))
-    assert grid is not None
     gram = np.empty((grid.size, 3, 3))
     rhs = np.empty((grid.size, 3))
     gram[:, 0, 0] = x.size
@@ -192,16 +190,11 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return best
 
 
-def can_fit(deltas: "list[float]") -> bool:
-    """Whether :func:`fit_sine` accepts a sweep over these deltas: at least
-    8 points, at least 2 distinct deltas, and a span max - min that gives a
-    finite frequency grid (see :func:`_frequency_grid`)."""
-    return (len(deltas) >= _MIN_FIT_POINTS and len(set(deltas)) >= 2
-            and _frequency_grid(float(max(deltas)) - float(min(deltas))) is not None)
-
-
-def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit:
-    """Fit ``offset + amplitude*sin(w*delta + phase)`` by damped Gauss-Newton.
+def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit | None:
+    """Fit ``offset + amplitude*sin(w*delta + phase)`` by damped Gauss-Newton,
+    or None for a sweep that cannot be fitted: fewer than 8 points, fewer
+    than 2 distinct deltas, or a span max - min with no finite frequency
+    grid (see :func:`_frequency_grid`).
 
     The frequency is initialised from a discrete scan of candidate
     frequencies (see :func:`_scan_frequency`), then all four parameters are
@@ -212,17 +205,15 @@ def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be a sequence of (delta, fraction) pairs")
-    if pts.shape[0] < _MIN_FIT_POINTS:
-        raise ValueError(f"need at least {_MIN_FIT_POINTS} points to fit, got {pts.shape[0]}")
     x = pts[:, 0]
     y = pts[:, 1]
-    if np.unique(x).size < 2:
-        raise ValueError("need at least 2 distinct deltas to fit")
-    span = float(x.max()) - float(x.min())
-    if _frequency_grid(span) is None:
-        raise ValueError(f"delta span {span!r} gives no finite frequency grid to fit")
+    if x.size < _MIN_FIT_POINTS or np.unique(x).size < 2:
+        return None
+    grid = _frequency_grid(float(x.max()) - float(x.min()))
+    if grid is None:
+        return None
 
-    w, coef = _scan_frequency(x, y)
+    w, coef = _scan_frequency(x, y, grid)
     c0, a, b = (float(v) for v in coef)
 
     def sse_of(c0: float, a: float, b: float, w: float) -> tuple[float, np.ndarray]:
@@ -294,8 +285,7 @@ def compare_to_qm(deltas: list[float], fractions: list[float], nu: float) -> QmC
     """
     residuals = tuple(f - qm_reference(d, nu) for d, f in zip(deltas, fractions))
     fitted_period = None
-    if can_fit(deltas):
-        fit = fit_sine(list(zip(deltas, fractions)))
-        if fit.angular_frequency > 0.0:
-            fitted_period = TWO_PI / fit.angular_frequency
+    fit = fit_sine(list(zip(deltas, fractions)))
+    if fit is not None and fit.angular_frequency > 0.0:
+        fitted_period = TWO_PI / fit.angular_frequency
     return QmComparison(residuals, visibility(fractions), fitted_period, TWO_PI / nu)

@@ -8,16 +8,19 @@ defaults (the pinned reference setup).
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .analysis import SineFit, binomial_ci, can_fit, compare_to_qm, fit_sine, visibility
+from .analysis import SineFit, binomial_ci, compare_to_qm, fit_sine, visibility
 from .config import ExperimentConfig, load_config
 from .experiment import default_sweep_deltas, run_mzi, run_single_bs, run_sweep
 from .output import build_record, read_sweep_csv, write_csv, write_json
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", metavar="PATH", help="JSON config file")
@@ -90,22 +93,23 @@ def _out_format(args: argparse.Namespace) -> str:
 
 
 def _check_out(args: argparse.Namespace) -> None:
-    """Refuse an ``--out`` that is a directory or whose directory does not
-    exist before the run, not after it."""
-    if not args.out:
+    """Refuse an ``--out`` that is a directory (or names one, by a trailing
+    separator) or whose directory does not exist before the run, not after it."""
+    if args.out is None:
         return
     out = Path(args.out)
-    if out.is_dir():
+    if args.out.endswith(os.sep) or out.is_dir():
         raise OSError(f"cannot write {args.out}: it is a directory")
     if not out.parent.is_dir():
         raise OSError(f"cannot write {args.out}: no directory {out.parent}")
 
 
-def _emit(record: dict, args: argparse.Namespace) -> None:
+def _emit(args: argparse.Namespace, kind: str, cfg: ExperimentConfig,
+          rows: list[tuple[float, int, int]], analysis: dict, trace=None) -> None:
     if _out_format(args) == "json":
-        write_json(record, args.out)
+        write_json(build_record(kind, cfg, rows, analysis, trace), args.out)
     else:
-        write_csv(record, args.out)
+        write_csv(rows, args.out)
 
 
 def _print_fit(fit: SineFit, digits: int) -> None:
@@ -130,8 +134,7 @@ def _run_one(args: argparse.Namespace) -> int:
     lo, hi = binomial_ci(d1, d1 + d2)
     if args.out:
         analysis = {"d1_fraction": frac, "ci_lo": lo, "ci_hi": hi, "confidence": 0.95}
-        rows = [(cfg.delta, d1, d2)]
-        _emit(build_record(kind, cfg, rows, analysis, trace=trace if args.trace else None), args)
+        _emit(args, kind, cfg, [(cfg.delta, d1, d2)], analysis, trace if args.trace else None)
     print(
         f"{kind}: photons={d1 + d2} d1={d1} d2={d2} "
         f"d1_fraction={frac:.6f} ci95=[{lo:.6f}, {hi:.6f}]"
@@ -145,7 +148,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     deltas = default_sweep_deltas(cfg, steps=args.steps, delta_max=args.delta_max)
     counts = run_sweep(cfg, deltas, jobs=args.parallel)
     fractions = [d1 / (d1 + d2) for d1, d2 in counts]
-    fit = fit_sine(list(zip(deltas, fractions))) if can_fit(deltas) else None
+    fit = fit_sine(list(zip(deltas, fractions)))
     qm = compare_to_qm(deltas, fractions, cfg.particle_frequency)
     if args.out:
         analysis = {
@@ -160,7 +163,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             },
         }
         rows = [(delta, d1, d2) for delta, (d1, d2) in zip(deltas, counts)]
-        _emit(build_record("sweep", cfg, rows, analysis), args)
+        _emit(args, "sweep", cfg, rows, analysis)
     print(
         f"sweep: {len(deltas)} points, photons/point={cfg.photon_count}, "
         f"visibility={qm.model_visibility:.4f}"
@@ -173,8 +176,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     rows = read_sweep_csv(args.results)
     pairs = [(delta, d1 / (d1 + d2)) for delta, d1, d2 in rows]
-    if can_fit([d for d, _ in pairs]):
-        _print_fit(fit_sine(pairs), 6)
+    fit = fit_sine(pairs)
+    if fit is not None:
+        _print_fit(fit, 6)
     else:
         print("fit: skipped (needs at least 8 rows with 2 distinct deltas and a finite span)")
     print(f"visibility: {visibility([f for _, f in pairs]):.6f}")

@@ -2,7 +2,8 @@
 
 The CSV table is the plotting contract: exactly the columns
 ``delta,d1,d2,d1_fraction,ci_lo,ci_hi``, one row per sweep point, floats at
-full (round-trippable) precision. JSON carries the complete record including
+full (round-trippable) precision. It is written from the same ``(delta, d1,
+d2)`` rows it is read back as. JSON carries the complete record including
 config echo and provenance; the timestamp lives only in the JSON form, so
 identical runs produce byte-identical CSV files.
 """
@@ -79,7 +80,6 @@ def build_record(
     rows: list[tuple[float, int, int]],
     analysis: dict | None = None,
     trace: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None,
-    timestamp: str | None = None,
 ) -> dict:
     """The record of a run, ready for ``json.dump``; ``kind`` is
     ``"single-bs"``, ``"mzi"`` or ``"sweep"``, and ``rows`` holds each
@@ -89,8 +89,6 @@ def build_record(
     ``[emitted_at, "reflect"|"transmit", "path1"|"path2", "reflect"|"transmit"|null]``:
     the BS1 outcome, the path it implies, and the BS2 outcome (null for
     single-bs runs, where ``bs2`` is None)."""
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat()
     record = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
@@ -104,7 +102,7 @@ def build_record(
             "master_seed": config.master_seed,
             "child_seed_function": CHILD_SEED_FUNCTION,
             "build": f"mzsim {__version__} / numpy {np.__version__}",
-            "timestamp": timestamp,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
         },
     }
     if trace is not None:
@@ -127,14 +125,15 @@ def write_json(record: dict, path: str | os.PathLike) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(record: dict, path: str | os.PathLike) -> None:
+def write_csv(rows: list[tuple[float, int, int]], path: str | os.PathLike) -> None:
+    """Write ``(delta, d1, d2)`` rows as a results table, each with its
+    fraction and 95% interval; :func:`read_sweep_csv` reads them back."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for p in record["points"]:
-                ci = binomial_ci(p["d1"], p["d1"] + p["d2"])
-                row = (p["delta"], p["d1"], p["d2"], p["d1_fraction"], *ci)
+            for delta, d1, d2 in rows:
+                row = (delta, d1, d2, d1 / (d1 + d2), *binomial_ci(d1, d1 + d2))
                 writer.writerow([repr(v) for v in row])
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc

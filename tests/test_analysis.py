@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from mzsim import analysis
 from mzsim.analysis import (
+    _frequency_grid,
     _scan_frequency,
     binomial_ci,
-    can_fit,
     compare_to_qm,
     fit_sine,
     qm_reference,
@@ -150,21 +150,16 @@ def test_fit_r_squared_matches_independent_recomputation():
 
 
 def test_fit_rejects_too_few_points():
-    with pytest.raises(ValueError):
-        fit_sine([(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)])
+    assert fit_sine([(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)]) is None
 
 
 def test_fit_rejects_degenerate_deltas():
-    with pytest.raises(ValueError):
-        fit_sine([(1.0, 0.1)] * 10)
+    assert fit_sine([(1.0, 0.1)] * 10) is None
 
 
 @pytest.mark.parametrize("low, high", [(0.0, 5e-324), (-1e308, 1e308), (0.0, 1e-307)])
 def test_fit_rejects_a_span_with_no_finite_frequency_grid(low, high):
-    deltas = [low, high] * 4
-    assert not can_fit(deltas)
-    with pytest.raises(ValueError, match="delta span"):
-        fit_sine([(d, 0.1 * i) for i, d in enumerate(deltas)])
+    assert fit_sine([(d, 0.1 * i) for i, d in enumerate([low, high] * 4)]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +185,12 @@ def reference_scan(x, y):
     return best
 
 
+def scan(x, y):
+    return _scan_frequency(x, y, _frequency_grid(float(x.max()) - float(x.min())))
+
+
 def assert_scan_matches_reference(x, y):
-    w, coef = _scan_frequency(x, y)
+    w, coef = scan(x, y)
     ref_w, ref_coef = reference_scan(x, y)
     assert w == ref_w
     assert np.array_equal(coef, ref_coef)
@@ -276,10 +275,10 @@ def test_scan_memory_is_bounded(rows):
     # 1000 rows.
     x = np.linspace(0.0, 2 * TWO_PI, rows)
     y = 0.5 + 0.25 * np.sin(x + 0.3) + np.random.default_rng(rows).normal(0.0, 0.01, rows)
-    _scan_frequency(x, y)
+    scan(x, y)
     tracemalloc.start()
     try:
-        _scan_frequency(x, y)
+        scan(x, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import warnings
 
 import pytest
@@ -7,8 +8,7 @@ import pytest
 from mzsim import cli
 from mzsim.analysis import binomial_ci
 from mzsim.cli import main
-from mzsim.config import ExperimentConfig
-from mzsim.output import build_record, write_csv
+from mzsim.output import write_csv
 from test_output import LARGE_COUNT_ROWS
 
 
@@ -278,7 +278,7 @@ def test_trace_without_json_output_is_a_single_line_error(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory", "trailing-slash", "empty"])
 @pytest.mark.parametrize("command", ["sweep", "mzi"])
 def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch, capsys, command, target):
     def must_not_run(*args, **kwargs):
@@ -286,18 +286,23 @@ def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch, capsys,
 
     monkeypatch.setattr(cli, "run_sweep", must_not_run)
     monkeypatch.setattr(cli, "run_mzi", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    reason = "it is a directory"
     if target == "a-directory":
-        out = tmp_path / "r.csv"
-        out.mkdir()
-        reason = "it is a directory"
+        (tmp_path / "r.csv").mkdir()
+        out = str(tmp_path / "r.csv")
+    elif target == "trailing-slash":
+        out = str(tmp_path / "nodir") + os.sep
+    elif target == "empty":
+        out = ""
     else:
-        out = tmp_path / "missing" / "r.csv"
-        reason = f"no directory {out.parent}"
-    assert run_cli(command, "--photons", "100", "--out", str(out)) == 1
+        out = str(tmp_path / "missing" / "r.csv")
+        reason = f"no directory {tmp_path / 'missing'}"
+    assert run_cli(command, "--photons", "100", "--out", out) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {out}: {reason}\n"
-    assert [p.name for p in tmp_path.rglob("*")] == (["r.csv"] if out.is_dir() else [])
+    assert [p.name for p in tmp_path.rglob("*")] == (["r.csv"] if target == "a-directory" else [])
 
 
 def test_unknown_flag_fails_with_usage(capsys):
@@ -383,7 +388,7 @@ def test_photon_count_too_large_to_allocate_is_a_single_line_error(tmp_path, cap
 
 def test_analyze_prints_fractions_of_counts_up_to_2_63(tmp_path, capsys):
     path = tmp_path / "large.csv"
-    write_csv(build_record("sweep", ExperimentConfig(), LARGE_COUNT_ROWS, None), path)
+    write_csv(LARGE_COUNT_ROWS, path)
     assert run_cli("analyze", str(path)) == 0
     table = capsys.readouterr().out.splitlines()[3:]
     assert table == [

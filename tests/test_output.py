@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzsim.config import ExperimentConfig
 from mzsim.output import (
@@ -23,33 +25,50 @@ LARGE_COUNT_ROWS = [
 ]
 
 
-def one_point_record(timestamp="2024-01-01T00:00:00+00:00"):
-    return build_record("sweep", ExperimentConfig(), [(1 / 3, 1, 2)], {"visibility": 0.5},
-                        timestamp=timestamp)
+ONE_ROW = [(1 / 3, 1, 2)]
+
+
+def one_point_record():
+    return build_record("sweep", ExperimentConfig(), ONE_ROW, {"visibility": 0.5})
 
 
 def test_csv_has_exact_columns_and_one_row(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(one_point_record(), path)
+    write_csv(ONE_ROW, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2
 
 
-def test_csv_bytes_do_not_depend_on_timestamp(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(one_point_record(timestamp="2024-01-01T00:00:00+00:00"), a)
-    write_csv(one_point_record(timestamp="2030-12-31T23:59:59+00:00"), b)
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_csv_floats_round_trip_exactly(tmp_path):
     path = tmp_path / "out.csv"
-    record = one_point_record()
-    write_csv(record, path)
-    (written,) = record["points"]
+    write_csv(ONE_ROW, path)
     # bit-exact via repr
-    assert read_sweep_csv(path) == [(written["delta"], written["d1"], written["d2"])]
+    assert read_sweep_csv(path) == ONE_ROW
+
+
+@st.composite
+def sweep_rows(draw):
+    """(delta, d1, d2) rows: any finite delta, -0.0, subnormals and +-1e308
+    among them, and counts whose totals run from 1 to 2**63 - 1."""
+    delta = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, -5e-324, 1e308, -1e308])
+    rows = []
+    for d in draw(st.lists(delta, min_size=1, max_size=8)):
+        total = draw(st.integers(1, 2**63 - 1))
+        d1 = draw(st.integers(0, total))
+        rows.append((d, d1, total - d1))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=sweep_rows())
+def test_csv_round_trips_any_rows(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("rows") / "out.csv"
+    write_csv(rows, path)
+    read = read_sweep_csv(path)
+    assert read == rows
+    assert [repr(delta) for delta, _, _ in read] == [repr(delta) for delta, _, _ in rows]
 
 
 def test_json_round_trip_equality(tmp_path):
@@ -68,7 +87,6 @@ def trace_rows(kind, trace):
         [(0.0, 1, 1)],
         None,
         trace=trace,
-        timestamp="2024-01-01T00:00:00+00:00",
     )
     return json.loads(json.dumps(record))["trace"]
 
@@ -124,11 +142,11 @@ def test_counts_past_2_53_round_trip_with_exact_fractions(tmp_path):
     assert [p["d1_fraction"] for p in record["points"]] == [
         float(Fraction(d1, d1 + d2)) for _, d1, d2 in LARGE_COUNT_ROWS
     ]
-    write_csv(record, path)
+    write_csv(LARGE_COUNT_ROWS, path)
     assert read_sweep_csv(path) == LARGE_COUNT_ROWS
 
 
 def test_write_error_carries_path_context(tmp_path):
     target = tmp_path / "no-such-dir" / "x.csv"
     with pytest.raises(OSError, match="x.csv"):
-        write_csv(one_point_record(), target)
+        write_csv(ONE_ROW, target)
