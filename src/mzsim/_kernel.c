@@ -1,5 +1,10 @@
 /* The per-photon stream loop of mzsim.experiment, compiled.
  *
+ * Every photon goes through BS1 and then BS2; a single-bs run reads the BS1
+ * outcomes. That is exact: BS1's decision and update read the photon and
+ * BS1's register, never BS2's register or delta. The cost is BS2's work,
+ * which a single-bs run also does, about 1.3 times a BS1-only loop's time.
+ *
  * Its outcomes are bit for bit those of the Python reference loop
  * (experiment._run_stream_py, written with optics.interact): it does the
  * same IEEE double operations in the same order, except that it skips the
@@ -91,16 +96,16 @@ void wrap_array(const double *x, int64_t n, double *out)
         out[i] = wrap(x[i]);
 }
 
-/* Stream n photons through BS1 and, if mzi, BS2. bs1_out[i] and bs2_out[i]
- * are 1 where photon i reflected at that splitter; bs2_out is not written
- * unless mzi. offsets[i] is photon i's initial phase, wrapped here; xi1 and
- * xi2 are the splitters' wrapped initial offsets. */
+/* Stream n photons through BS1, then BS2. bs1_out[i] and bs2_out[i] are 1
+ * where photon i reflected at that splitter; a single-bs run reads only
+ * bs1_out (see the top). offsets[i] is photon i's initial phase, wrapped
+ * here; xi1 and xi2 are the splitters' wrapped initial offsets. */
 FMA_CLONES
 void run_stream(const double *emissions, const double *offsets, int64_t n,
                 double nu_p, double base, double delta,
                 double nu1, double a1, double b1, double xi1,
                 double nu2, double a2, double b2, double xi2,
-                int mzi, int8_t *bs1_out, int8_t *bs2_out)
+                int8_t *bs1_out, int8_t *bs2_out)
 {
     for (int64_t i = 0; i < n; i++) {
         double t1 = emissions[i] + base;
@@ -117,8 +122,6 @@ void run_stream(const double *emissions, const double *offsets, int64_t n,
             seg = base;
         }
         bs1_out[i] = (int8_t)first;
-        if (!mzi)
-            continue;
 
         double t2 = t1 + seg;
         double p2 = wrap(nu_p * t2 + phi);

@@ -192,9 +192,9 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> tuple[flo
 
 def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit | None:
     """Fit ``offset + amplitude*sin(w*delta + phase)`` by damped Gauss-Newton,
-    or None for a sweep that cannot be fitted: fewer than 8 points, fewer
-    than 2 distinct deltas, or a span max - min with no finite frequency
-    grid (see :func:`_frequency_grid`).
+    or None for a sweep that cannot be fitted: fewer than 8 points (an empty
+    sweep among them), fewer than 2 distinct deltas, or a span max - min
+    with no finite frequency grid (see :func:`_frequency_grid`).
 
     The frequency is initialised from a discrete scan of candidate
     frequencies (see :func:`_scan_frequency`), then all four parameters are
@@ -203,6 +203,8 @@ def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit | None
     found are returned with ``converged=False``.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.shape == (0,):  # an empty sweep, which has no pair to give its shape
+        return None
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be a sequence of (delta, fraction) pairs")
     x = pts[:, 0]

@@ -93,10 +93,13 @@ def _out_format(args: argparse.Namespace) -> str:
 
 
 def _check_out(args: argparse.Namespace) -> None:
-    """Refuse an ``--out`` that is a directory (or names one, by a trailing
-    separator) or whose directory does not exist before the run, not after it."""
+    """Refuse an ``--out`` that is empty, is a directory (or names one, by a
+    trailing separator) or whose directory does not exist before the run,
+    not after it."""
     if args.out is None:
         return
+    if not args.out:
+        raise OSError("cannot write: the --out path is empty")
     out = Path(args.out)
     if args.out.endswith(os.sep) or out.is_dir():
         raise OSError(f"cannot write {args.out}: it is a directory")

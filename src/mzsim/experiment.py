@@ -1,5 +1,5 @@
-"""Run orchestration: single-splitter runs, full interferometer runs, and
-reproducible path-length sweeps.
+"""Run orchestration: full interferometer runs, their single-splitter
+view, and reproducible path-length sweeps.
 
 Every run is fully determined by its :class:`~mzsim.config.ExperimentConfig`.
 Random numbers are drawn from one ``numpy`` PCG64 generator seeded with the
@@ -157,8 +157,7 @@ def _load_kernel():
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     flags = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
     run = lib.run_stream
-    run.argtypes = [doubles, doubles, ctypes.c_int64, *[ctypes.c_double] * 11,
-                    ctypes.c_int, flags, flags]
+    run.argtypes = [doubles, doubles, ctypes.c_int64, *[ctypes.c_double] * 11, flags, flags]
     run.restype = None
     return run
 
@@ -174,31 +173,12 @@ def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
     )
 
 
-def _run_stream(buffers: Buffers, config: ExperimentConfig, *, mzi: bool) -> Run:
-    """Sequential pass of a photon stream through the apparatus: its counts
-    and its outcome arrays (see :data:`Run`).
-
-    ``buffers`` holds the photons' emission times and initial phase offsets
-    (as :func:`_prepare_stream` leaves them); the loop wraps each initial
-    phase offset itself. It runs in the compiled kernel (``_kernel.c``) or,
-    where that cannot be built, in :func:`_run_stream_py`, with a warning.
-    Both take the same arguments and write each photon's BS1 and BS2
-    outcome to the last two buffers; the counts are read from those.
-    """
-    emissions, offsets, bs1, bs2 = buffers
-    loop = _load_kernel() or _run_stream_py
-    n = emissions.size
-    loop(emissions, offsets, n, *_stream_params(config), mzi, bs1, bs2)
-    d1 = int(np.count_nonzero(bs2 if mzi else bs1))
-    return (d1, n - d1), (emissions, bs1, bs2 if mzi else None)
-
-
 def _run_stream_py(
     emissions: np.ndarray, offsets: np.ndarray, n: int,
     nu_p: float, base: float, delta: float,
     nu1: float, a1: float, b1: float, xi1: float,
     nu2: float, a2: float, b2: float, xi2: float,
-    mzi: bool, bs1_out: np.ndarray, bs2_out: np.ndarray,
+    bs1_out: np.ndarray, bs2_out: np.ndarray,
 ) -> None:
     """The stream loop written with :func:`mzsim.optics.interact`: the
     reference the compiled kernel is tested against, and its fallback. It
@@ -210,7 +190,7 @@ def _run_stream_py(
     go through ``interact``; a reflection rebases both offsets to the phases
     it returns (``wrap(phase - nu*t)``).
     """
-    splitters = [(nu1, a1, b1), (nu2, a2, b2)][: 1 + bool(mzi)]
+    splitters = ((nu1, a1, b1), (nu2, a2, b2))
     xi, outs = [xi1, xi2], (bs1_out, bs2_out)
     for i, emitted, phi in zip(range(n), emissions.tolist(), offsets.tolist()):
         t, phi = emitted + base, wrap_phase(phi)
@@ -252,14 +232,17 @@ def _prepare_stream(config: ExperimentConfig, buffers: Buffers) -> Buffers:
 
 
 def run_single_bs(config: ExperimentConfig) -> Run:
-    """Stream all photons against the first splitter only.
+    """The first splitter's view of a :func:`run_mzi` run.
 
-    Reflections count to D1, transmissions to D2. Returns the counts and
-    ``(emissions, bs1, None)``: each photon's emission time and its BS1
-    outcome (1 = reflected).
+    Reflections at BS1 count to D1, transmissions to D2. Returns the counts
+    and ``(emissions, bs1, None)``: each photon's emission time and its BS1
+    outcome (1 = reflected). These are exactly the two-splitter run's BS1
+    outcomes, as BS1's rule reads neither BS2's state nor ``delta``; the
+    cost is BS2's work, about 1.3 times a BS1-only loop's time.
     """
-    buffers = photon_buffers(config.validate().photon_count)
-    return _run_stream(_prepare_stream(config, buffers), config, mzi=False)
+    _, (emissions, bs1, _) = run_mzi(config)
+    d1 = int(np.count_nonzero(bs1))
+    return (d1, bs1.size - d1), (emissions, bs1, None)
 
 
 def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
@@ -276,11 +259,16 @@ def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
     ``buffers``, from :func:`photon_buffers` for ``config.photon_count``,
     are filled in place, and the returned arrays are those buffers, so the
     next run through them overwrites them. Without ``buffers`` the run
-    allocates its own.
+    allocates its own. The loop is the compiled kernel (``_kernel.c``) or,
+    where that cannot be built, :func:`_run_stream_py`, with a warning.
     """
     n = config.validate().photon_count
     buffers = photon_buffers(n) if buffers is None else buffers
-    return _run_stream(_prepare_stream(config, buffers), config, mzi=True)
+    emissions, offsets, bs1, bs2 = _prepare_stream(config, buffers)
+    loop = _load_kernel() or _run_stream_py
+    loop(emissions, offsets, n, *_stream_params(config), bs1, bs2)
+    d1 = int(np.count_nonzero(bs2))
+    return (d1, n - d1), (emissions, bs1, bs2)
 
 
 def _sweep_points(configs: list[ExperimentConfig]) -> list[tuple[int, int]]:
@@ -353,6 +341,4 @@ def default_sweep_deltas(
         delta_max = 2.0 * (TWO_PI / config.particle_frequency)
     if not (math.isfinite(delta_max) and delta_max >= 0.0):
         raise ValueError(f"delta_max must be finite and >= 0, got {delta_max!r}")
-    if steps == 1:
-        return [0.0]
     return np.linspace(0.0, delta_max, steps).tolist()

@@ -151,6 +151,10 @@ def test_fit_r_squared_matches_independent_recomputation():
 
 def test_fit_rejects_too_few_points():
     assert fit_sine([(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)]) is None
+    assert fit_sine([]) is None
+    for not_pairs in ([0.0, 0.1], np.empty((0, 3))):
+        with pytest.raises(ValueError, match="pairs"):
+            fit_sine(not_pairs)
 
 
 def test_fit_rejects_degenerate_deltas():
@@ -327,6 +331,8 @@ def test_compare_to_qm_flat_sweep_has_unit_gap():
 def test_compare_to_qm_skips_fit_for_tiny_sweeps():
     report = compare_to_qm(*fabricated_sweep([0.0, 1.0], [0.5, 0.6]), 1.0)
     assert report.fitted_period is None
+    with pytest.raises(ValueError, match="needs at least one fraction"):
+        compare_to_qm([], [], 1.0)
 
 
 def test_compare_to_qm_recovers_fringe_period():

@@ -287,21 +287,22 @@ def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(cli, "run_sweep", must_not_run)
     monkeypatch.setattr(cli, "run_mzi", must_not_run)
     monkeypatch.chdir(tmp_path)
-    reason = "it is a directory"
     if target == "a-directory":
         (tmp_path / "r.csv").mkdir()
         out = str(tmp_path / "r.csv")
+        message = f"cannot write {out}: it is a directory"
     elif target == "trailing-slash":
         out = str(tmp_path / "nodir") + os.sep
+        message = f"cannot write {out}: it is a directory"
     elif target == "empty":
-        out = ""
+        out, message = "", "cannot write: the --out path is empty"
     else:
         out = str(tmp_path / "missing" / "r.csv")
-        reason = f"no directory {tmp_path / 'missing'}"
+        message = f"cannot write {out}: no directory {tmp_path / 'missing'}"
     assert run_cli(command, "--photons", "100", "--out", out) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert captured.err == f"error: {message}\n"
     assert [p.name for p in tmp_path.rglob("*")] == (["r.csv"] if target == "a-directory" else [])
 
 

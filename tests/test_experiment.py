@@ -21,8 +21,8 @@ from mzsim.experiment import (
     _initial_offsets,
     _load_kernel,
     _prepare_stream,
-    _run_stream,
     _run_stream_py,
+    _stream_params,
 )
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 from test_kernel import assert_same_run, needs_cc, stream_outcomes
@@ -137,23 +137,32 @@ configs = st.builds(
 )
 
 
-def assert_kernel_fills_the_reference_arrays(config, mzi):
-    kernel = stream_outcomes(_load_kernel(), config, mzi)
-    reference = stream_outcomes(_run_stream_py, config, mzi)
+def assert_kernel_fills_the_reference_arrays(config):
+    kernel = stream_outcomes(_load_kernel(), config)
+    reference = stream_outcomes(_run_stream_py, config)
     for got, expected in zip(kernel, reference):
         np.testing.assert_array_equal(got, expected)
-    if not mzi:  # bs2 is not written unless mzi
-        assert not kernel[1].any() and not reference[1].any()
 
 
 @needs_cc
-@pytest.mark.parametrize("mzi", [True, False], ids=["mzi", "single-bs"])
 @settings(max_examples=60, deadline=None)
 @given(config=configs)
-def test_stream_loop_matches_interact_reference(mzi, config):
+def test_stream_loop_matches_interact_reference(config):
     """The compiled kernel (what run_mzi runs) fills the same outcome
     arrays as the interact-based reference loop, photon for photon."""
-    assert_kernel_fills_the_reference_arrays(config, mzi)
+    assert_kernel_fills_the_reference_arrays(config)
+
+
+@needs_cc
+@settings(max_examples=40, deadline=None)
+@given(config=configs, bs2=splitters, delta=st.floats(0.0, 50.0))
+def test_bs1_outcomes_do_not_depend_on_bs2_or_delta(config, bs2, delta):
+    """BS1's rule reads neither BS2's state nor delta, in either loop: what
+    makes a single-bs run the BS1 part of a two-splitter run."""
+    other = replace(config, bs2=bs2, delta=delta)
+    for loop in (_load_kernel(), _run_stream_py):
+        bs1 = stream_outcomes(loop, config)[0]
+        np.testing.assert_array_equal(stream_outcomes(loop, other)[0], bs1)
 
 
 fast_splitters = st.builds(
@@ -179,16 +188,15 @@ streams_past_2_to_50 = st.builds(
 
 
 @needs_cc
-@pytest.mark.parametrize("mzi", [True, False], ids=["mzi", "single-bs"])
 @settings(max_examples=20, deadline=None)
 @given(config=streams_past_2_to_50)
-def test_stream_loop_matches_reference_where_phases_pass_2_to_50(mzi, config):
+def test_stream_loop_matches_reference_where_phases_pass_2_to_50(config):
     """The kernel reduces phases with its own remainder below 2**50 and with
     fmod above; a stream whose nu*t climbs past 2**50 crosses both."""
     emissions = _prepare_stream(config, photon_buffers(config.photon_count))[0]
     t_last = emissions[-1] + config.base_path_length
     assert config.particle_frequency * emissions[0] < 2**50 < config.particle_frequency * t_last
-    assert_kernel_fills_the_reference_arrays(config, mzi)
+    assert_kernel_fills_the_reference_arrays(config)
 
 
 # TWO_PI - WRAP_SNAP itself is excluded: TWO_PI minus it is not below
@@ -197,13 +205,10 @@ below_two_pi = st.floats(TWO_PI - WRAP_SNAP, TWO_PI, exclude_min=True, exclude_m
 
 
 @needs_cc
-@pytest.mark.parametrize(
-    "mzi, configured", [(True, False), (False, False), (True, True)],
-    ids=["mzi", "single-bs", "particle-initial-phase"],
-)
+@pytest.mark.parametrize("configured", [False, True], ids=["mzi", "particle-initial-phase"])
 @settings(max_examples=30, deadline=None)
 @given(config=configs, data=st.data())
-def test_stream_loops_snap_initial_phases_just_below_two_pi(mzi, configured, config, data):
+def test_stream_loops_snap_initial_phases_just_below_two_pi(configured, config, data):
     """Each loop wraps the initial phases it reads, so raw phases in
     (TWO_PI - WRAP_SNAP, TWO_PI) give the outcomes of the same phases
     snapped to 0.0 beforehand, as wrap_phase snaps them."""
@@ -219,10 +224,10 @@ def test_stream_loops_snap_initial_phases_just_below_two_pi(mzi, configured, con
     snapped = np.array([wrap_phase(x) for x in raw.tolist()])
     assert (snapped == 0.0).any() or configured
     kernel = _load_kernel()
-    expected = stream_outcomes(kernel, config, mzi, snapped)
+    expected = stream_outcomes(kernel, config, snapped)
     for loop in (kernel, _run_stream_py):
         for offsets in (raw, snapped):
-            for got, want in zip(stream_outcomes(loop, config, mzi, offsets), expected):
+            for got, want in zip(stream_outcomes(loop, config, offsets), expected):
                 np.testing.assert_array_equal(got, want)
 
 
@@ -256,11 +261,12 @@ def test_reversed_stream_changes_splitter_memory():
     # same photon set, opposite processing order: the states the splitters
     # accumulate differ, so later outcomes differ
     cfg = small_config(photon_count=3000, delta=1.7)
-    photons = _prepare_stream(cfg, photon_buffers(cfg.photon_count))
-    reversed_photons = tuple(a[::-1].copy() for a in photons)
-    _, forward = _run_stream(photons, cfg, mzi=True)
-    _, backward = _run_stream(reversed_photons, cfg, mzi=True)
-    assert not all(np.array_equal(f, b[::-1]) for f, b in zip(forward, backward))
+    forward = _prepare_stream(cfg, photon_buffers(cfg.photon_count))
+    backward = tuple(a[::-1].copy() for a in forward)
+    loop = _load_kernel() or _run_stream_py
+    for emissions, offsets, bs1, bs2 in (forward, backward):
+        loop(emissions, offsets, cfg.photon_count, *_stream_params(cfg), bs1, bs2)
+    assert not all(np.array_equal(f, b[::-1]) for f, b in zip(forward[2:], backward[2:]))
 
 
 # ---------------------------------------------------------------------------

@@ -171,17 +171,16 @@ def assert_same_run(a, b):
         np.testing.assert_array_equal(x, y, strict=True)
 
 
-def stream_outcomes(loop, config, mzi, offsets=None):
+def stream_outcomes(loop, config, offsets=None):
     """``(bs1, bs2)`` as filled by ``loop``, the compiled ``run_stream`` or
     anything with its signature, for the prepared stream of ``config``, or
-    for its emissions with the initial phases ``offsets`` if given.
-    ``bs1`` starts at -1, so a photon the loop skips shows; ``bs2`` starts
-    at 0, so both loops leave it alike in single-bs runs."""
+    for its emissions with the initial phases ``offsets`` if given. Both
+    start at -1, so a photon the loop skips shows."""
     emissions, prepared = _prepare_stream(config, photon_buffers(config.photon_count))[:2]
     offsets = prepared if offsets is None else offsets
     n = emissions.size
-    bs1, bs2 = np.full(n, -1, np.int8), np.zeros(n, np.int8)
-    loop(emissions, offsets, n, *_stream_params(config), mzi, bs1, bs2)
+    bs1, bs2 = np.full(n, -1, np.int8), np.full(n, -1, np.int8)
+    loop(emissions, offsets, n, *_stream_params(config), bs1, bs2)
     return bs1, bs2
 
 
@@ -213,6 +212,6 @@ def test_default_clone_equals_the_clone_picked_at_load(tmp_path, monkeypatch, fr
     x = wrap_cases()
     assert call_wrap(shipped[1], x).tobytes() == call_wrap(default[1], x).tobytes()
     cfg = replace(ExperimentConfig(), delta=1.5)
-    for ours, theirs in zip(stream_outcomes(shipped[0], cfg, True),
-                            stream_outcomes(default[0], cfg, True)):
+    for ours, theirs in zip(stream_outcomes(shipped[0], cfg),
+                            stream_outcomes(default[0], cfg)):
         assert np.array_equal(ours, theirs)
