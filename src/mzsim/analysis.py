@@ -190,11 +190,12 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> tuple[flo
     return best
 
 
-def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit | None:
-    """Fit ``offset + amplitude*sin(w*delta + phase)`` by damped Gauss-Newton,
-    or None for a sweep that cannot be fitted: fewer than 8 points (an empty
-    sweep among them), fewer than 2 distinct deltas, or a span max - min
-    with no finite frequency grid (see :func:`_frequency_grid`).
+def fit_sine(deltas: list[float], fractions: list[float]) -> SineFit | None:
+    """Fit ``offset + amplitude*sin(w*delta + phase)`` to a sweep's two
+    columns by damped Gauss-Newton, or None for a sweep that cannot be
+    fitted: fewer than 8 points (an empty sweep among them), fewer than 2
+    distinct deltas, or a span max - min with no finite frequency grid (see
+    :func:`_frequency_grid`). Columns not 1-D and of one length raise.
 
     The frequency is initialised from a discrete scan of candidate
     frequencies (see :func:`_scan_frequency`), then all four parameters are
@@ -202,13 +203,10 @@ def fit_sine(points: "list[tuple[float, float]] | np.ndarray") -> SineFit | None
     reduce the residual. If the iteration cap is reached the best parameters
     found are returned with ``converged=False``.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape == (0,):  # an empty sweep, which has no pair to give its shape
-        return None
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be a sequence of (delta, fraction) pairs")
-    x = pts[:, 0]
-    y = pts[:, 1]
+    x = np.asarray(deltas, dtype=float)
+    y = np.asarray(fractions, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"deltas, fractions must be 1-D and of one length, got {x.shape}, {y.shape}")
     if x.size < _MIN_FIT_POINTS or np.unique(x).size < 2:
         return None
     grid = _frequency_grid(float(x.max()) - float(x.min()))
@@ -287,7 +285,7 @@ def compare_to_qm(deltas: list[float], fractions: list[float], nu: float) -> QmC
     """
     residuals = tuple(f - qm_reference(d, nu) for d, f in zip(deltas, fractions))
     fitted_period = None
-    fit = fit_sine(list(zip(deltas, fractions)))
+    fit = fit_sine(deltas, fractions)
     if fit is not None and fit.angular_frequency > 0.0:
         fitted_period = TWO_PI / fit.angular_frequency
     return QmComparison(residuals, visibility(fractions), fitted_period, TWO_PI / nu)

@@ -151,7 +151,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     deltas = default_sweep_deltas(cfg, steps=args.steps, delta_max=args.delta_max)
     counts = run_sweep(cfg, deltas, jobs=args.parallel)
     fractions = [d1 / (d1 + d2) for d1, d2 in counts]
-    fit = fit_sine(list(zip(deltas, fractions)))
+    fit = fit_sine(deltas, fractions)
     qm = compare_to_qm(deltas, fractions, cfg.particle_frequency)
     if args.out:
         analysis = {
@@ -178,17 +178,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     rows = read_sweep_csv(args.results)
-    pairs = [(delta, d1 / (d1 + d2)) for delta, d1, d2 in rows]
-    fit = fit_sine(pairs)
+    deltas = [delta for delta, _, _ in rows]
+    fractions = [d1 / (d1 + d2) for _, d1, d2 in rows]
+    fit = fit_sine(deltas, fractions)
     if fit is not None:
         _print_fit(fit, 6)
     else:
         print("fit: skipped (needs at least 8 rows with 2 distinct deltas and a finite span)")
-    print(f"visibility: {visibility([f for _, f in pairs]):.6f}")
+    print(f"visibility: {visibility(fractions):.6f}")
     print("delta,d1_fraction,ci_lo,ci_hi")
-    for delta, d1, d2 in rows:
+    for (delta, d1, d2), frac in zip(rows, fractions):
         lo, hi = binomial_ci(d1, d1 + d2)
-        print(f"{delta},{d1 / (d1 + d2):.6f},{lo:.6f},{hi:.6f}")
+        print(f"{delta},{frac:.6f},{lo:.6f},{hi:.6f}")
     return 0
 
 

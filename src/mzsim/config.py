@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .optics import INTER_ARRIVAL_LAWS
 
@@ -47,10 +47,6 @@ class SplitterConfig:
     update_beta: float = 0.06
 
 
-def _default_bs1() -> SplitterConfig:
-    return SplitterConfig(frequency=1.0)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     photon_count: int = 100_000
@@ -60,8 +56,8 @@ class ExperimentConfig:
     # None draws each photon's initial phase uniformly from [0, 2*pi);
     # a number fixes it for every photon.
     particle_initial_phase: float | None = None
-    bs1: SplitterConfig = field(default_factory=_default_bs1)
-    bs2: SplitterConfig = field(default_factory=SplitterConfig)
+    bs1: SplitterConfig = SplitterConfig(frequency=1.0)
+    bs2: SplitterConfig = SplitterConfig()
     base_path_length: float = 1.0
     delta: float = 0.0
     master_seed: int = 42
@@ -137,7 +133,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
     """Load a JSON config file; an empty file means 'all defaults'."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None

@@ -148,11 +148,11 @@ def read_sweep_csv(path: str | os.PathLike) -> list[tuple[float, int, int]]:
     photons a run can count), and a ``d1_fraction`` equal to ``d1/(d1+d2)``;
     anything else, a field over the ``csv`` module's size limit included, is
     a ValueError naming the file and line, and so is a file that is not
-    UTF-8 text. The fraction and interval are recomputed from the counts
-    wherever they are used.
+    UTF-8 text (a leading byte-order mark is skipped). The fraction and
+    interval are recomputed from the counts wherever they are used.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != CSV_COLUMNS:

@@ -52,7 +52,7 @@ def test_criterion_1_single_splitter_is_50_50():
 
 def test_criterion_2_sweep_is_sine_like(reference_sweep):
     deltas, fractions, elapsed = reference_sweep
-    fit = fit_sine(list(zip(deltas, fractions)))
+    fit = fit_sine(deltas, fractions)
     period = TWO_PI / fit.angular_frequency
     ideal = TWO_PI / REFERENCE.particle_frequency
     period_err = abs(period - ideal) / ideal
@@ -178,7 +178,7 @@ def test_criterion_8_analysis_unit_oracles():
 
     x = np.linspace(0.0, 2 * TWO_PI, 50)
     y = 0.5 + 0.25 * np.sin(x + 0.3)
-    fit = fit_sine(list(zip(x, y)))
+    fit = fit_sine(x, y)
     checks.append(
         abs(fit.amplitude - 0.25) <= 1e-6
         and abs(fit.angular_frequency - 1.0) <= 1e-6
@@ -186,7 +186,7 @@ def test_criterion_8_analysis_unit_oracles():
         and abs(fit.offset - 0.5) <= 1e-6
         and fit.r_squared >= 1.0 - 1e-9
     )
-    flat = fit_sine(list(zip(x, np.full(50, 0.5))))
+    flat = fit_sine(x, np.full(50, 0.5))
     checks.append(flat.amplitude <= 1e-9)
 
     checks.append(qm_reference(0.0, 1.0) == 1.0)
@@ -198,4 +198,43 @@ def test_criterion_8_analysis_unit_oracles():
         all(checks),
         f"{sum(checks)}/{len(checks)} oracle checks passed "
         "(binomial_ci, visibility, fit_sine, qm_reference at stated tolerances)",
+    )
+
+
+def test_criterion_9_fringe_needs_random_phases():
+    # 48 points over two periods, 2e4 photons per point. Over seeds 1-20 the
+    # visibility read 0.507-0.538 with random initial phases (exponential or
+    # fixed gaps) and 0.0107-0.0215 with the phase fixed at 0 and exponential
+    # gaps, the spread of 48 fractions that differ only by sampling noise; the
+    # bounds sit ~0.06 below the first range and over twice the second's top.
+    base = replace(REFERENCE, photon_count=20_000)
+    deltas = default_sweep_deltas(base, steps=48)
+
+    def config(phase, law, seed):
+        return replace(base, particle_initial_phase=phase, inter_arrival_law=law,
+                       master_seed=seed)
+
+    def sweep_visibility(phase, law, seed):
+        counts = run_sweep(config(phase, law, seed), deltas)
+        return visibility([d1 / (d1 + d2) for d1, d2 in counts])
+
+    seeds = (1, 2, 3)
+    random_vis = [sweep_visibility(None, law, s) for law in ("exponential", "fixed") for s in seeds]
+    fixed_vis = [sweep_visibility(0.0, "exponential", s) for s in seeds]
+    # A phase fixed at BS1's initial offset (0), with nu1 = nu_p, meets BS1 at
+    # a phase that differs from the splitter's only by the rounding of nu*t,
+    # which wrap's 1e-12 snap takes to 0 while nu*t < 2**13 (here t < 1001);
+    # the update is symmetric, so the two stay equal and BS1 reflects every
+    # photon: none takes the delta arm. With fixed gaps too, the run draws no
+    # random number, so every sweep point is the same run.
+    _, (_, bs1, _) = run_mzi(replace(config(0.0, "fixed", 1), delta=deltas[1]))
+    flat = set(run_sweep(config(0.0, "fixed", 1), deltas))
+    _report(
+        "9 fringe needs random phases",
+        min(random_vis) >= 0.45 and max(fixed_vis) <= 0.05 and bs1.all() and len(flat) == 1,
+        f"visibility with random initial phases {min(random_vis):.4f}-{max(random_vis):.4f} "
+        f"(>= 0.45, exponential and fixed gaps); with the phase fixed at 0 and exponential "
+        f"gaps {min(fixed_vis):.4f}-{max(fixed_vis):.4f} (<= 0.05); phase and gaps fixed: "
+        f"BS1 reflects {np.count_nonzero(bs1)}/{bs1.size} photons, {len(flat)} distinct "
+        f"(d1, d2) over {len(deltas)} points (1 required)",
     )

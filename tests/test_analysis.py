@@ -106,7 +106,7 @@ def synth(amplitude, omega, phase, offset, n=50, span=2 * TWO_PI):
 
 def test_fit_recovers_noiseless_sine():
     x, y = synth(0.25, 1.0, 0.3, 0.5)
-    fit = fit_sine(list(zip(x, y)))
+    fit = fit_sine(x, y)
     assert fit.amplitude == pytest.approx(0.25, abs=1e-6)
     assert fit.angular_frequency == pytest.approx(1.0, abs=1e-6)
     assert fit.phase == pytest.approx(0.3, abs=1e-6)
@@ -117,7 +117,7 @@ def test_fit_recovers_noiseless_sine():
 
 def test_fit_constant_data_has_no_amplitude():
     x = np.linspace(0.0, 10.0, 50)
-    fit = fit_sine(list(zip(x, np.full(50, 0.5))))
+    fit = fit_sine(x, np.full(50, 0.5))
     assert fit.amplitude <= 1e-9
     assert fit.offset == pytest.approx(0.5, abs=1e-12)
     assert fit.r_squared == 1.0
@@ -127,13 +127,13 @@ def test_fit_survives_noise():
     rng = np.random.default_rng(5)
     x, y = synth(0.25, 1.0, 0.3, 0.5)
     noisy = y + rng.normal(0.0, 0.01, y.size)
-    fit = fit_sine(list(zip(x, noisy)))
+    fit = fit_sine(x, noisy)
     assert abs(fit.amplitude - 0.25) <= 0.025  # within 10% of truth
 
 
 def test_fit_amplitude_is_non_negative():
     x, y = synth(-0.25, 1.0, 0.0, 0.5)  # negative amplitude folds into phase
-    fit = fit_sine(list(zip(x, y)))
+    fit = fit_sine(x, y)
     assert fit.amplitude == pytest.approx(0.25, abs=1e-6)
     assert fit.phase == pytest.approx(math.pi, abs=1e-6)
 
@@ -142,7 +142,7 @@ def test_fit_r_squared_matches_independent_recomputation():
     rng = np.random.default_rng(9)
     x, y = synth(0.2, 1.3, 1.1, 0.45)
     noisy = y + rng.normal(0.0, 0.02, y.size)
-    fit = fit_sine(list(zip(x, noisy)))
+    fit = fit_sine(x, noisy)
     predicted = fit.offset + fit.amplitude * np.sin(fit.angular_frequency * x + fit.phase)
     ss_res = float(((noisy - predicted) ** 2).sum())
     ss_tot = float(((noisy - noisy.mean()) ** 2).sum())
@@ -150,20 +150,20 @@ def test_fit_r_squared_matches_independent_recomputation():
 
 
 def test_fit_rejects_too_few_points():
-    assert fit_sine([(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)]) is None
-    assert fit_sine([]) is None
-    for not_pairs in ([0.0, 0.1], np.empty((0, 3))):
-        with pytest.raises(ValueError, match="pairs"):
-            fit_sine(not_pairs)
+    assert fit_sine([0.0, 1.0, 2.0], [0.1, 0.2, 0.3]) is None
+    assert fit_sine([], []) is None
+    for deltas, fractions in (([0.0, 1.0], [0.1]), (np.zeros((8, 2)), np.zeros((8, 2)))):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            fit_sine(deltas, fractions)
 
 
 def test_fit_rejects_degenerate_deltas():
-    assert fit_sine([(1.0, 0.1)] * 10) is None
+    assert fit_sine([1.0] * 10, [0.1] * 10) is None
 
 
 @pytest.mark.parametrize("low, high", [(0.0, 5e-324), (-1e308, 1e308), (0.0, 1e-307)])
 def test_fit_rejects_a_span_with_no_finite_frequency_grid(low, high):
-    assert fit_sine([(d, 0.1 * i) for i, d in enumerate([low, high] * 4)]) is None
+    assert fit_sine([low, high] * 4, [0.1 * i for i in range(8)]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,22 @@ def test_input_that_is_not_utf8_is_a_single_line_error(tmp_path, capsys, command
     assert captured.err == f"error: {expected} is not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare-qm", "config"])
+def test_input_with_a_utf8_byte_order_mark_reads_as_without(tmp_path, capsys, command):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    if command == "config":
+        plain.write_text(json.dumps({"master_seed": 7, "photon_count": 2000}))
+        argv = ("mzi", "--config")
+    else:
+        write_csv([(0.5 * k, 10 + k, 20 - k) for k in range(10)], plain)
+        argv = (command,)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run_cli(*argv, str(plain)) == 0
+    expected = capsys.readouterr().out
+    assert run_cli(*argv, str(marked)) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
 def test_analyze_missing_file_fails(tmp_path, capsys):
     assert run_cli("analyze", str(tmp_path / "none.csv")) == 1
     assert capsys.readouterr().err.startswith("error:")
