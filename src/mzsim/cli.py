@@ -25,8 +25,11 @@ def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", metavar="PATH", help="JSON config file")
     run = argparse.ArgumentParser(add_help=False, parents=[config])
-    run.add_argument("--seed", type=int, metavar="U64", help="master seed override")
-    run.add_argument("--photons", type=int, metavar="N", help="photon count override")
+    # an override flag's dest is the config key it sets (see _effective_config)
+    run.add_argument("--seed", type=int, dest="master_seed", metavar="U64",
+                     help="master seed override")
+    run.add_argument("--photons", type=int, dest="photon_count", metavar="N",
+                     help="photon count override")
     run.add_argument("--out", metavar="PATH", help="write results to this file")
     run.add_argument(
         "--format", choices=("csv", "json"), default=None,
@@ -76,14 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for flag, key in (("seed", "master_seed"), ("photons", "photon_count"), ("delta", "delta")):
-        value = getattr(args, flag, None)  # not every subcommand has every flag
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    keys = ("master_seed", "photon_count", "delta")  # not every subcommand has each
+    return replace(cfg, **{k: v for k in keys if (v := getattr(args, k, None)) is not None})
 
 
 def _out_format(args: argparse.Namespace) -> str:

@@ -1,4 +1,4 @@
-"""Experiment configuration: dataclasses, validation, loading from JSON.
+"""Experiment configuration: dataclasses checked when built, loading from JSON.
 
 The defaults below are the pinned reference setup used throughout the test
 suite: unit particle frequency; first splitter oscillating at the particle
@@ -49,6 +49,10 @@ class SplitterConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's setup. An instance is always valid: every build, including
+    ``dataclasses.replace``, runs the checks in ``__post_init__``, which
+    raise a :class:`ConfigError` naming the offending field."""
+
     photon_count: int = 100_000
     source_rate: float = 20.0
     inter_arrival_law: str = "exponential"
@@ -62,7 +66,7 @@ class ExperimentConfig:
     delta: float = 0.0
     master_seed: int = 42
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self) -> None:
         if not _integer(self.photon_count) or self.photon_count < 1:
             raise ConfigError(
                 f"photon_count must be an integer >= 1, got {self.photon_count!r}"
@@ -105,11 +109,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}"
             )
-        return self
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated config from a plain dict, rejecting unknown keys."""
+    """Build a config from a plain dict, rejecting unknown keys."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
     known = {f.name for f in fields(ExperimentConfig)}
@@ -127,7 +130,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 if key not in sub_known:
                     raise ConfigError(f"unknown config key {side}.{key}")
             kwargs[side] = SplitterConfig(**sub)
-    return ExperimentConfig(**kwargs).validate()
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
@@ -139,10 +142,8 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path} is not UTF-8 text") from None
-    if not text.strip():
-        return ExperimentConfig().validate()
     try:
-        data = json.loads(text)
+        data = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)

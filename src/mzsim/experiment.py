@@ -218,9 +218,9 @@ def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
 
 
 def _prepare_stream(config: ExperimentConfig, buffers: Buffers) -> Buffers:
-    """Draw the emission times and initial phases of a validated
-    ``config``'s photons into the first two of ``buffers``, once the set is
-    checked to hold them; returns ``buffers``."""
+    """Draw the emission times and initial phases of ``config``'s photons
+    into the first two of ``buffers``, once the set is checked to hold them;
+    returns ``buffers``."""
     n = config.photon_count
     emissions, offsets = buffers[:2]
     _check_buffers(buffers, n)
@@ -262,7 +262,7 @@ def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
     allocates its own. The loop is the compiled kernel (``_kernel.c``) or,
     where that cannot be built, :func:`_run_stream_py`, with a warning.
     """
-    n = config.validate().photon_count
+    n = config.photon_count
     buffers = photon_buffers(n) if buffers is None else buffers
     emissions, offsets, bs1, bs2 = _prepare_stream(config, buffers)
     loop = _load_kernel() or _run_stream_py
@@ -319,7 +319,6 @@ def run_sweep(
     """
     if not deltas:
         raise ValueError("sweep needs at least one delta")
-    config.validate()
     configs = [point_config(config, d) for d in deltas]
     workers = pool_size(jobs, len(configs), os.cpu_count())
     if workers == 1:

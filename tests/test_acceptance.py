@@ -202,6 +202,17 @@ def test_criterion_8_analysis_unit_oracles():
 
 
 def test_criterion_9_fringe_needs_random_phases():
+    """Random initial phases make the fringe; random emission times do not.
+
+    The all-fixed case's exact all-reflect property holds only while
+    ``nu*t < 2**13``, where the wrap's absolute 1e-12 snap still absorbs the
+    rounding of ``nu*t``. This test's 2e4 photons at rate 20 stay below it.
+    Past it the routing depends on the absolute time: a ``run_mzi`` of 1e6
+    photons with the phase fixed at 0, delta 2 and seed 1 reflects every
+    photon at BS1 up to t = 8192, first transmits at t = 8847.0
+    (exponential gaps) or 8846.8 (fixed gaps), and transmits 30.1% or 74.3%
+    of them in all.
+    """
     # 48 points over two periods, 2e4 photons per point. Over seeds 1-20 the
     # visibility read 0.507-0.538 with random initial phases (exponential or
     # fixed gaps) and 0.0107-0.0215 with the phase fixed at 0 and exponential

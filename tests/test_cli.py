@@ -42,18 +42,26 @@ def test_flag_beats_config_beats_default(tmp_path):
     cfg_path.write_text(json.dumps({"photon_count": 5000}))
 
     out = tmp_path / "r.json"
+
+    def record_config():
+        return json.loads(out.read_text())["config"]
+
     # CLI flag wins over the config file
     assert run_cli("mzi", "--config", str(cfg_path), "--photons", "700",
                    "--seed", "3", "--out", str(out), "--format", "json") == 0
-    assert json.loads(out.read_text())["config"]["photon_count"] == 700
+    assert record_config()["photon_count"] == 700
+    # --seed reaches the run (the default seed, 42, would not show a dropped flag)
+    assert record_config()["master_seed"] == 3
     # config file wins over the built-in default
     assert run_cli("mzi", "--config", str(cfg_path), "--seed", "3",
                    "--out", str(out), "--format", "json") == 0
-    assert json.loads(out.read_text())["config"]["photon_count"] == 5000
+    assert record_config()["photon_count"] == 5000
+    assert record_config()["master_seed"] == 3
     # no flag, no file: the built-in default
     assert run_cli("mzi", "--photons", "100000", "--seed", "3",
                    "--out", str(out), "--format", "json") == 0
-    assert json.loads(out.read_text())["config"]["photon_count"] == 100_000
+    assert record_config()["photon_count"] == 100_000
+    assert record_config()["master_seed"] == 3
 
 
 def test_analyze_prints_fit_visibility_and_table(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -29,7 +29,7 @@ def test_empty_object_gives_reference_defaults(tmp_path):
 
 
 def test_reference_defaults_are_pinned():
-    cfg = ExperimentConfig().validate()
+    cfg = ExperimentConfig()
     assert cfg.photon_count == 100_000
     assert cfg.source_rate == 20.0
     assert cfg.inter_arrival_law == "exponential"
@@ -106,8 +106,19 @@ def test_dict_round_trip():
     ],
 )
 def test_validation_names_offending_field(patch, field):
-    with pytest.raises(ConfigError, match=field.split(".")[0]):
+    with pytest.raises(ConfigError, match=field.split(".")[0]) as from_dict:
         config_from_dict(patch)
+    # every other way to build a config runs the same checks: a nested
+    # patch goes through replace() of the default splitter first
+    default = ExperimentConfig()
+    kwargs = {
+        key: replace(getattr(default, key), **value) if isinstance(value, dict) else value
+        for key, value in patch.items()
+    }
+    for build in (ExperimentConfig, lambda **kw: replace(default, **kw)):
+        with pytest.raises(ConfigError) as built:
+            build(**kwargs)
+        assert str(built.value) == str(from_dict.value)
 
 
 def test_shipped_strong_interference_config_loads():

@@ -359,6 +359,20 @@ def test_sweep_rejects_empty_deltas():
         run_sweep(small_config(), [])
 
 
+def test_sweep_rejects_a_bad_delta_before_any_run(monkeypatch):
+    # each point's config is built, and so checked, before the first run
+    runs = []
+
+    def counting_run_mzi(config, *args):
+        runs.append(config.delta)
+        return run_mzi(config, *args)
+
+    monkeypatch.setattr("mzsim.experiment.run_mzi", counting_run_mzi)
+    with pytest.raises(ConfigError, match="delta"):
+        run_sweep(small_config(), [0.0, -1.0])
+    assert runs == []
+
+
 def test_sweep_fraction_is_exact_ratio():
     # Python ints, so d1 / (d1 + d2) is the correctly rounded ratio
     ((d1, d2),) = run_sweep(small_config(photon_count=640), [0.3])
