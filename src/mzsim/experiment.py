@@ -84,20 +84,6 @@ def _check_buffers(buffers: Buffers, n: int) -> None:
             )
 
 
-def _initial_offsets(
-    config: ExperimentConfig, rng: np.random.Generator, out: np.ndarray
-) -> np.ndarray:
-    """Each photon's initial phase, unsnapped, written to ``out`` and
-    returned: the stream loop wraps it, so a draw just below TWO_PI becomes
-    0 there."""
-    if config.particle_initial_phase is None:
-        rng.random(out=out)
-        out *= TWO_PI  # the bits of rng.uniform(0.0, TWO_PI, n)
-    else:
-        out.fill(wrap_phase(config.particle_initial_phase))
-    return out
-
-
 # The compiled stream loop: its source, and the flags it must be built with
 # to match the Python loop bit for bit (see _kernel.c).
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
@@ -217,20 +203,6 @@ def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
             raise ConfigError(f"{name} {nu!r} times the last arrival time {t_max!r} overflows")
 
 
-def _prepare_stream(config: ExperimentConfig, buffers: Buffers) -> Buffers:
-    """Draw the emission times and initial phases of ``config``'s photons
-    into the first two of ``buffers``, once the set is checked to hold them;
-    returns ``buffers``."""
-    n = config.photon_count
-    emissions, offsets = buffers[:2]
-    _check_buffers(buffers, n)
-    rng = np.random.default_rng(config.master_seed)
-    generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law, out=emissions)
-    _check_phase_range(config, float(emissions[-1]))
-    _initial_offsets(config, rng, offsets)
-    return buffers
-
-
 def run_single_bs(config: ExperimentConfig) -> Run:
     """The first splitter's view of a :func:`run_mzi` run.
 
@@ -256,15 +228,28 @@ def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
     Returns the counts and ``(emissions, bs1, bs2)``: each photon's emission
     time and its BS1 and BS2 outcomes (1 = reflected).
 
-    ``buffers``, from :func:`photon_buffers` for ``config.photon_count``,
-    are filled in place, and the returned arrays are those buffers, so the
-    next run through them overwrites them. Without ``buffers`` the run
+    One generator seeded with ``master_seed`` draws all the emission gaps,
+    then all the initial phases: uniform on [0, 2*pi), or the configured
+    ``particle_initial_phase``, unwrapped like a drawn one (the loop wraps
+    both). ``buffers``, from :func:`photon_buffers` for
+    ``config.photon_count``, are filled in place and returned; the loop only
+    reads ``buffers[0]`` and ``buffers[1]``, so they keep the drawn times
+    and phases until the next run through them. Without ``buffers`` the run
     allocates its own. The loop is the compiled kernel (``_kernel.c``) or,
     where that cannot be built, :func:`_run_stream_py`, with a warning.
     """
     n = config.photon_count
     buffers = photon_buffers(n) if buffers is None else buffers
-    emissions, offsets, bs1, bs2 = _prepare_stream(config, buffers)
+    emissions, offsets, bs1, bs2 = buffers
+    _check_buffers(buffers, n)
+    rng = np.random.default_rng(config.master_seed)
+    generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law, out=emissions)
+    _check_phase_range(config, float(emissions[-1]))
+    if config.particle_initial_phase is None:
+        rng.random(out=offsets)
+        offsets *= TWO_PI  # the bits of rng.uniform(0.0, TWO_PI, n)
+    else:
+        offsets.fill(config.particle_initial_phase)
     loop = _load_kernel() or _run_stream_py
     loop(emissions, offsets, n, *_stream_params(config), bs1, bs2)
     d1 = int(np.count_nonzero(bs2))

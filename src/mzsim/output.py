@@ -156,7 +156,7 @@ def read_sweep_csv(path: str | os.PathLike) -> list[tuple[float, int, int]]:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != CSV_COLUMNS:
-                raise ValueError(f"{path} is not a results table (header {header!r})")
+                raise ValueError(f"{path} is not a results table (header {_brief(repr(header))})")
             rows = []
             for row in reader:
                 if not row:

@@ -138,15 +138,40 @@ def test_fit_amplitude_is_non_negative():
     assert fit.phase == pytest.approx(math.pi, abs=1e-6)
 
 
+# 26 noisy points of 0.5 + 0.3*sin(0.054*x) over 16.2, under a third of a
+# period: Gauss-Newton carries the frequency below 0, and the fit folds the
+# sign into the amplitude and phase (it stops unconverged, with R^2 ~ 0.5).
+SHORT_SWEEP_X = [
+    0.38827685754953073, 0.4295649338419383, 0.934665253987919, 0.9583531545247177,
+    1.5361272401060275, 1.8348001962714693, 1.9142728570004623, 2.290097836742579,
+    3.1383690798122665, 3.586061463433755, 3.940469409749514, 5.405186905852486,
+    5.709486056149239, 5.756339469841269, 5.861104880382361, 6.334838513829103,
+    7.468129441163154, 7.933529389626503, 10.29917551904939, 11.327138979172398,
+    12.05996911168919, 12.629853735084724, 13.716621816666828, 14.024821229985003,
+    14.742110087780475, 15.59443231851255,
+]
+SHORT_SWEEP_Y = [
+    0.5557517613742423, 0.5123403262888083, 0.542788996169087, 0.5342696372787905,
+    0.5489909920510342, 0.5221022322933891, 0.5725233586890636, 0.6868173234747175,
+    0.5305200463127158, 0.4380024813393688, 0.5699005519185963, 0.5415096582002111,
+    0.5881401741015562, 0.6164283756609551, 0.6461367089454678, 0.6352448945664464,
+    0.6469999419112995, 0.538892927790228, 0.528873305290315, 0.6237713536100944,
+    0.5989501575232006, 0.6941845427171153, 0.6309606954481438, 0.7782051064962462,
+    0.787039781416691, 0.6958604401213829,
+]
+
+
 def test_fit_r_squared_matches_independent_recomputation():
     rng = np.random.default_rng(9)
     x, y = synth(0.2, 1.3, 1.1, 0.45)
     noisy = y + rng.normal(0.0, 0.02, y.size)
-    fit = fit_sine(x, noisy)
-    predicted = fit.offset + fit.amplitude * np.sin(fit.angular_frequency * x + fit.phase)
-    ss_res = float(((noisy - predicted) ** 2).sum())
-    ss_tot = float(((noisy - noisy.mean()) ** 2).sum())
-    assert fit.r_squared == pytest.approx(1.0 - ss_res / ss_tot, abs=1e-9)
+    for x, y in ((x, noisy), (np.array(SHORT_SWEEP_X), np.array(SHORT_SWEEP_Y))):
+        fit = fit_sine(x, y)
+        assert fit.angular_frequency >= 0.0
+        predicted = fit.offset + fit.amplitude * np.sin(fit.angular_frequency * x + fit.phase)
+        ss_res = float(((y - predicted) ** 2).sum())
+        ss_tot = float(((y - y.mean()) ** 2).sum())
+        assert fit.r_squared == pytest.approx(1.0 - ss_res / ss_tot, abs=1e-9)
 
 
 def test_fit_rejects_too_few_points():

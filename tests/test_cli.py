@@ -269,6 +269,23 @@ def test_malformed_csv_row_is_a_single_line_error(tmp_path, capsys, command, row
     assert len(captured.err) < len(str(path)) + 120  # an over-long field is shown in brief
 
 
+@pytest.mark.parametrize("first_line", [
+    "x" * 100_000,
+    json.dumps(list(range(30_000)), separators=(",", ":")),
+], ids=["long-line", "compact-json"])
+@pytest.mark.parametrize("command", ["analyze", "compare-qm"])
+def test_long_foreign_header_is_a_single_line_error(tmp_path, capsys, command, first_line):
+    path = tmp_path / "foreign.csv"
+    path.write_text(first_line + "\n")
+    assert run_cli(command, str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not a results table (header [")
+    assert f"({len(repr(first_line.split(',')))} characters)" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert len(captured.err) < len(str(path)) + 120  # the header is shown in brief
+
+
 @pytest.mark.parametrize(
     "argv",
     [["mzi", "--trace"],

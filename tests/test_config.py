@@ -103,6 +103,8 @@ def test_dict_round_trip():
         ({"photon_count": True}, "photon_count"),
         ({"master_seed": True}, "master_seed"),
         ({"bs2": {"update_alpha": 1e308}}, "bs2"),
+        ({"particle_initial_phase": math.inf}, "particle_initial_phase"),
+        ({"bs2": {"initial_offset": math.nan}}, "bs2.initial_offset"),
     ],
 )
 def test_validation_names_offending_field(patch, field):
@@ -119,6 +121,15 @@ def test_validation_names_offending_field(patch, field):
         with pytest.raises(ConfigError) as built:
             build(**kwargs)
         assert str(built.value) == str(from_dict.value)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1, 2], "config root must be an object, got list"),
+    ({"bs1": 0.5}, "bs1 must be an object, got float"),
+], ids=["root", "splitter"])
+def test_config_parts_that_are_not_objects_are_refused(data, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data)
 
 
 def test_shipped_strong_interference_config_loads():

@@ -18,14 +18,13 @@ from mzsim.experiment import (
     run_single_bs,
     run_sweep,
     _contiguous_slices,
-    _initial_offsets,
     _load_kernel,
-    _prepare_stream,
     _run_stream_py,
     _stream_params,
 )
+from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
-from test_kernel import assert_same_run, needs_cc, stream_outcomes
+from test_kernel import CC, assert_same_run, drawn_stream, needs_cc, stream_outcomes
 
 
 def small_config(**overrides):
@@ -100,13 +99,49 @@ def test_mzi_trace_periodic_in_delta():
 
 
 def test_random_initial_offsets_are_uniform_draws():
-    # drawn as rng.random scaled in place; the bits and the generator's end
-    # state must be those of rng.uniform from the same state
+    # drawn as rng.random scaled in place after the gaps; the bits must be
+    # those of rng.uniform after rng.exponential from the master seed
     cfg = small_config()
-    rng, reference = np.random.default_rng(31), np.random.default_rng(31)
-    got = _initial_offsets(cfg, rng, np.empty(cfg.photon_count))
-    assert got.tobytes() == reference.uniform(0.0, TWO_PI, cfg.photon_count).tobytes()
-    assert rng.bit_generator.state == reference.bit_generator.state
+    reference = np.random.default_rng(cfg.master_seed)
+    reference.exponential(1.0 / cfg.source_rate, cfg.photon_count)
+    _, offsets = drawn_stream(cfg)
+    assert offsets.tobytes() == reference.uniform(0.0, TWO_PI, cfg.photon_count).tobytes()
+
+
+@pytest.fixture(params=["kernel", "python"])
+def loop(request, monkeypatch):
+    """The stream loop run_mzi runs: the compiled kernel, or the Python
+    reference it falls back to."""
+    if request.param == "python":
+        monkeypatch.setattr("mzsim.experiment._load_kernel", lambda: None)
+    elif CC is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    return request.param
+
+
+@pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
+@pytest.mark.parametrize("phase", [None, 7.0, -2.0])
+def test_run_leaves_its_draw_in_the_first_two_buffers(loop, law, phase):
+    """After a run, buffers[0] and buffers[1] hold what it drew from a
+    generator seeded with the master seed: all the gaps, then all the
+    phases, or the configured phase as is. The loop only reads them."""
+    cfg = small_config(inter_arrival_law=law, particle_initial_phase=phase, delta=1.3)
+    n = cfg.photon_count
+    buffers = photon_buffers(n)
+    run_mzi(cfg, buffers)
+    rng = np.random.default_rng(cfg.master_seed)
+    emissions = generate_emissions(cfg.source_rate, n, rng, law=law)
+    offsets = rng.uniform(0.0, TWO_PI, n) if phase is None else np.full(n, phase)
+    assert buffers[0].tobytes() == emissions.tobytes()
+    assert buffers[1].tobytes() == offsets.tobytes()
+
+
+@pytest.mark.parametrize("phase", [7.0, TWO_PI - 1e-13, 6 * math.pi + 0.5, 1e6])
+def test_configured_phase_runs_as_its_wrapped_value(loop, phase):
+    # the loop wraps the phase it reads, so a raw one needs no wrap before
+    cfg = small_config(delta=1.3, particle_initial_phase=phase)
+    wrapped = replace(cfg, particle_initial_phase=wrap_phase(phase))
+    assert_same_run(run_mzi(cfg), run_mzi(wrapped))
 
 
 def test_mzi_rejects_invalid_config():
@@ -193,7 +228,7 @@ streams_past_2_to_50 = st.builds(
 def test_stream_loop_matches_reference_where_phases_pass_2_to_50(config):
     """The kernel reduces phases with its own remainder below 2**50 and with
     fmod above; a stream whose nu*t climbs past 2**50 crosses both."""
-    emissions = _prepare_stream(config, photon_buffers(config.photon_count))[0]
+    emissions, _ = drawn_stream(config)
     t_last = emissions[-1] + config.base_path_length
     assert config.particle_frequency * emissions[0] < 2**50 < config.particle_frequency * t_last
     assert_kernel_fills_the_reference_arrays(config)
@@ -216,7 +251,7 @@ def test_stream_loops_snap_initial_phases_just_below_two_pi(configured, config, 
         config = replace(config, particle_initial_phase=data.draw(below_two_pi))
         raw = np.full(config.photon_count, config.particle_initial_phase)
     else:
-        raw = _prepare_stream(config, photon_buffers(config.photon_count))[1]
+        raw = drawn_stream(config)[1]
         picks = data.draw(st.lists(
             st.tuples(st.integers(0, raw.size - 1), below_two_pi), max_size=10))
         for i, phase in [(0, np.nextafter(TWO_PI, 0.0)), *picks]:
@@ -261,11 +296,11 @@ def test_reversed_stream_changes_splitter_memory():
     # same photon set, opposite processing order: the states the splitters
     # accumulate differ, so later outcomes differ
     cfg = small_config(photon_count=3000, delta=1.7)
-    forward = _prepare_stream(cfg, photon_buffers(cfg.photon_count))
-    backward = tuple(a[::-1].copy() for a in forward)
+    forward = photon_buffers(cfg.photon_count)
+    run_mzi(cfg, forward)
+    emissions, offsets, bs1, bs2 = backward = tuple(a[::-1].copy() for a in forward)
     loop = _load_kernel() or _run_stream_py
-    for emissions, offsets, bs1, bs2 in (forward, backward):
-        loop(emissions, offsets, cfg.photon_count, *_stream_params(cfg), bs1, bs2)
+    loop(emissions, offsets, cfg.photon_count, *_stream_params(cfg), bs1, bs2)
     assert not all(np.array_equal(f, b[::-1]) for f, b in zip(forward[2:], backward[2:]))
 
 

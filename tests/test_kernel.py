@@ -24,7 +24,7 @@ import pytest
 from mzsim import experiment
 from mzsim.config import ExperimentConfig
 from mzsim.experiment import (
-    _load_kernel, _prepare_stream, _stream_params, photon_buffers, run_mzi, run_single_bs,
+    _load_kernel, _stream_params, photon_buffers, run_mzi, run_single_bs,
 )
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 
@@ -171,13 +171,22 @@ def assert_same_run(a, b):
         np.testing.assert_array_equal(x, y, strict=True)
 
 
+def drawn_stream(config):
+    """``(emissions, offsets)``: the emission times and initial phases
+    ``run_mzi`` draws for ``config``, read from its buffer set after the
+    run, which the loop only reads."""
+    buffers = photon_buffers(config.photon_count)
+    run_mzi(config, buffers)
+    return buffers[0], buffers[1]
+
+
 def stream_outcomes(loop, config, offsets=None):
     """``(bs1, bs2)`` as filled by ``loop``, the compiled ``run_stream`` or
-    anything with its signature, for the prepared stream of ``config``, or
+    anything with its signature, for the drawn stream of ``config``, or
     for its emissions with the initial phases ``offsets`` if given. Both
     start at -1, so a photon the loop skips shows."""
-    emissions, prepared = _prepare_stream(config, photon_buffers(config.photon_count))[:2]
-    offsets = prepared if offsets is None else offsets
+    emissions, drawn = drawn_stream(config)
+    offsets = drawn if offsets is None else offsets
     n = emissions.size
     bs1, bs2 = np.full(n, -1, np.int8), np.full(n, -1, np.int8)
     loop(emissions, offsets, n, *_stream_params(config), bs1, bs2)

@@ -146,3 +146,5 @@ def test_generate_emissions_bad_args():
         generate_emissions(-1.0, 10, rng)
     with pytest.raises(ValueError):
         generate_emissions(1.0, 10, rng, law="weibull")
+    with pytest.raises(ValueError, match="photon count"):
+        generate_emissions(1.0, -1, rng)

@@ -45,6 +45,9 @@ def test_csv_floats_round_trip_exactly(tmp_path):
     write_csv(ONE_ROW, path)
     # bit-exact via repr
     assert read_sweep_csv(path) == ONE_ROW
+    # a blank line inside the table is skipped
+    path.write_text(path.read_text().replace("\n", "\n\n", 1))
+    assert read_sweep_csv(path) == ONE_ROW
 
 
 @st.composite
@@ -150,3 +153,5 @@ def test_write_error_carries_path_context(tmp_path):
     target = tmp_path / "no-such-dir" / "x.csv"
     with pytest.raises(OSError, match="x.csv"):
         write_csv(ONE_ROW, target)
+    with pytest.raises(OSError, match="cannot write .*x.json"):
+        write_json(one_point_record(), target.with_suffix(".json"))
