@@ -2,84 +2,49 @@
  *
  * Every photon goes through BS1 and then BS2; a single-bs run reads the BS1
  * outcomes. That is exact: BS1's decision and update read the photon and
- * BS1's register, never BS2's register or delta. The cost is BS2's work,
- * which a single-bs run also does, about 1.3 times a BS1-only loop's time.
+ * BS1's phase, never BS2's phase or delta. The cost is BS2's work, which a
+ * single-bs run also does, about 1.3 times a BS1-only loop's time.
+ *
+ * Each oscillator's phase is carried from one photon to the next by the gap
+ * between their emission times, x = wrap(x + nu*gap), so no phase is formed
+ * from the absolute time, whose rounding would grow with the stream.
  *
  * Its outcomes are bit for bit those of the Python reference loop
  * (experiment._run_stream_py, written with optics.interact): it does the
  * same IEEE double operations in the same order, except that it skips the
  * photon's phase update on a reflection at BS2, which no outcome reads, and
- * computes BS2's register update for transmitted photons too, then drops it.
- * Two rules keep it so. There is no -ffast-math, and
- * -ffp-contract=off stops the compiler fusing a*p + b*s into one
- * multiply-add, which would round once where Python rounds twice. The one
- * fused multiply-add is the explicit fma() in rem, which is exact by
- * construction (see there).
- *
- * About half the reductions per photon take |x| < TWO_PI: p - s,
- * a*p + b*s, the initial phase, and every BS2 phase when its frequency is
- * 0. There wrap takes no quotient, and is still exact: fmod(x, TWO_PI) == x
- * for such x, and -0.0 + 0.0 is +0.0, as in Python (see wrap).
+ * computes BS2's phase update for transmitted photons too, then drops it.
+ * Two rules keep it so. There is no -ffast-math, and -ffp-contract=off
+ * stops the compiler fusing a*p + b*s into one multiply-add, which would
+ * round once where Python rounds twice.
  */
 #include <math.h>
 #include <stdint.h>
 
-/* On x86-64 with glibc, each exported function is built twice, with and
- * without FMA instructions, and the dynamic loader picks the build for this
- * CPU when the library loads. Elsewhere there is only the default build,
- * where fma() and trunc() are calls into libm. fma() is correctly rounded
- * either way, so both builds give the same bits. */
-#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define FMA_CLONES __attribute__((target_clones("fma", "default")))
-#endif
-#endif
-#ifndef FMA_CLONES
-#define FMA_CLONES
-#endif
-
 static const double PI = 3.141592653589793;          /* math.pi */
 static const double TWO_PI = 2.0 * 3.141592653589793; /* phases.TWO_PI */
-static const double INV_TWO_PI = 1.0 / (2.0 * 3.141592653589793);
 static const double WRAP_SNAP = 1e-12;                /* phases.WRAP_SNAP */
-
-/* fmod(x, TWO_PI), bit for bit except that a zero result is always +0.0.
- *
- * k is x / TWO_PI truncated, from a multiply by the reciprocal. For
- * |x| < 2^50 it is the true truncated quotient or one off. fma rounds the
- * exact x - k*TWO_PI once. With the true k that value is fmod's, which is
- * representable, so the rounding keeps it. With k one off the value falls
- * outside fmod's range, [0, TWO_PI) for x >= 0 and (-TWO_PI, 0] for x < 0;
- * then k steps once, towards the side r fell on, and fma runs again, so the
- * same argument holds for the result. Larger |x|, infinities and NaN go to
- * fmod. */
-static inline __attribute__((always_inline)) double rem(double x)
-{
-    if (!(fabs(x) < 0x1p50))
-        return fmod(x, TWO_PI);
-    double k = trunc(x * INV_TWO_PI);
-    double r = fma(-k, TWO_PI, x);
-    if (x >= 0.0 ? r < 0.0 || r >= TWO_PI : r > 0.0 || r <= -TWO_PI)
-        r = fma(-(k + (r > 0.0 ? 1.0 : -1.0)), TWO_PI, x);
-    return r;
-}
 
 /* Python's float x % TWO_PI (fmod, then the sign of the divisor), then the
  * snap of phases.wrap_phase: a value just below TWO_PI becomes 0.
  *
- * For |x| < TWO_PI, fmod(x, TWO_PI) is x itself, so the remainder is x,
- * plus TWO_PI when x < 0 (rounded once, as Python rounds it; a negative x
- * so small that the sum rounds to TWO_PI is then snapped to 0). x = -0.0
- * gives -0.0 + 0.0 = +0.0, Python's zero. The addend is a select, which
- * compiles to a blend, because the sign of p - s is random and a branch on
- * it would be mispredicted half the time. */
+ * Almost every argument the loop forms lies in (-TWO_PI, 2*TWO_PI): a
+ * difference or a weighted mean of two wrapped phases, or a wrapped phase
+ * plus a small step. There the remainder needs no quotient. Below 0 it is
+ * x + TWO_PI, rounded once, as Python rounds it (a negative x so small that
+ * the sum rounds to TWO_PI is then snapped to 0). From TWO_PI up it is
+ * x - TWO_PI, which is exact by Sterbenz's lemma and so is fmod's value.
+ * Otherwise it is x, and x = -0.0 gives -0.0 + 0.0 = +0.0, Python's zero.
+ * The addend is a select, not a branch, because the sign of p - s is
+ * random and a branch on it would be mispredicted half the time. Other
+ * arguments, infinities and NaN go to fmod. */
 static inline __attribute__((always_inline)) double wrap(double x)
 {
     double r;
-    if (fabs(x) < TWO_PI) {
-        r = x + (x < 0.0 ? TWO_PI : 0.0);
+    if (x > -TWO_PI && x < 2.0 * TWO_PI) {
+        r = x + (x < 0.0 ? TWO_PI : x >= TWO_PI ? -TWO_PI : 0.0);
     } else {
-        r = rem(x);
+        r = fmod(x, TWO_PI);
         if (r == 0.0)
             r = copysign(0.0, TWO_PI);
         else if (r < 0.0)
@@ -89,7 +54,6 @@ static inline __attribute__((always_inline)) double wrap(double x)
 }
 
 /* out[i] = wrap(x[i]), for the tests. */
-FMA_CLONES
 void wrap_array(const double *x, int64_t n, double *out)
 {
     for (int64_t i = 0; i < n; i++)
@@ -99,40 +63,50 @@ void wrap_array(const double *x, int64_t n, double *out)
 /* Stream n photons through BS1, then BS2. bs1_out[i] and bs2_out[i] are 1
  * where photon i reflected at that splitter; a single-bs run reads only
  * bs1_out (see the top). offsets[i] is photon i's initial phase, wrapped
- * here; xi1 and xi2 are the splitters' wrapped initial offsets. */
-FMA_CLONES
+ * here; xi1 and xi2 are the splitters' wrapped initial offsets.
+ *
+ * cp is the source's phase, s1 BS1's, each as the current photon meets
+ * BS1; c2 is BS2's as the photon would meet it by path 1. A reflection at
+ * BS1 sets the photon's and BS1's phases to the updated ones. Path 2 is
+ * longer by delta, so BS2 is met lag2 further on, and a reflection there
+ * stores BS2's updated phase back at the path 1 time. */
 void run_stream(const double *emissions, const double *offsets, int64_t n,
                 double nu_p, double base, double delta,
                 double nu1, double a1, double b1, double xi1,
                 double nu2, double a2, double b2, double xi2,
                 int8_t *bs1_out, int8_t *bs2_out)
 {
+    double path1 = wrap(nu_p * base), path2 = wrap(nu_p * (base + delta));
+    double lag2 = wrap(nu2 * delta);
+    double cp = path1;
+    double s1 = wrap(wrap(nu1 * base) + xi1);
+    double c2 = wrap(wrap(nu2 * (2.0 * base)) + xi2);
+    double prev = 0.0;
     for (int64_t i = 0; i < n; i++) {
-        double t1 = emissions[i] + base;
-        double phi = wrap(offsets[i]);
-        double p = wrap(nu_p * t1 + phi);
-        double s = wrap(nu1 * t1 + xi1);
-        double seg = base + delta;
-        int first = wrap(p - s) < PI;
+        double gap = emissions[i] - prev;
+        prev = emissions[i];
+        cp = wrap(cp + nu_p * gap);
+        s1 = wrap(s1 + nu1 * gap);
+        c2 = wrap(c2 + nu2 * gap);
+
+        double p = wrap(cp + wrap(offsets[i]));
+        int first = wrap(p - s1) < PI;
         if (first) {
-            double p_new = wrap(a1 * p + b1 * s);
-            double s_new = wrap(a1 * s + b1 * p);
-            phi = wrap(p_new - nu_p * t1);
-            xi1 = wrap(s_new - nu1 * t1);
-            seg = base;
+            double p_new = wrap(a1 * p + b1 * s1);
+            s1 = wrap(a1 * s1 + b1 * p);
+            p = p_new;
         }
         bs1_out[i] = (int8_t)first;
 
-        double t2 = t1 + seg;
-        double p2 = wrap(nu_p * t2 + phi);
-        double s2 = wrap(nu2 * t2 + xi2);
+        double p2 = wrap(p + (first ? path1 : path2));
+        double s2 = first ? c2 : wrap(c2 + lag2);
         int second = wrap(p2 - s2) < PI;
-        /* BS2's register update is computed for every photon and kept by
-         * a select: a branch on the random outcome was mispredicted about
-         * half the time. At BS1 the branch stays; its update also rebases
-         * phi, and computing that for every photon was measured slower. */
-        double xi2_new = wrap(wrap(a2 * s2 + b2 * p2) - nu2 * t2);
-        xi2 = second ? xi2_new : xi2;
+        /* BS2's update is computed for every photon and kept by a select:
+         * a branch on the random outcome was mispredicted about half the
+         * time. */
+        double s2_new = wrap(a2 * s2 + b2 * p2);
+        double c2_new = first ? s2_new : wrap(s2_new - lag2);
+        c2 = second ? c2_new : c2;
         bs2_out[i] = (int8_t)second;
     }
 }

@@ -20,10 +20,25 @@ from dataclasses import dataclass, fields
 from .optics import INTER_ARRIVAL_LAWS
 
 MAX_SEED = 2**64 - 1
+_SHOWN = 32  # longest field an error message shows whole; a double's repr fits
 
 
 class ConfigError(ValueError):
     """Unreadable, unparseable, or invalid experiment configuration."""
+
+
+def _brief(text: str) -> str:
+    """``text``, or its first characters and its length if it is longer than
+    ``_SHOWN``, so that an error line about a field stays one short line."""
+    if len(text) <= _SHOWN:
+        return text
+    return f"{text[:16]}... ({len(text)} characters)"
+
+
+def _invalid(field: str, rule: str, value: object) -> ConfigError:
+    """The error for a field whose value breaks its rule; the value is shown
+    in brief."""
+    return ConfigError(f"{field} must be {rule}, got {_brief(repr(value))}")
 
 
 def _finite(value: object) -> bool:
@@ -68,47 +83,35 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if not _integer(self.photon_count) or self.photon_count < 1:
-            raise ConfigError(
-                f"photon_count must be an integer >= 1, got {self.photon_count!r}"
-            )
+            raise _invalid("photon_count", "an integer >= 1", self.photon_count)
         if not (_finite(self.source_rate) and self.source_rate > 0.0):
-            raise ConfigError(f"source_rate must be finite and > 0, got {self.source_rate!r}")
+            raise _invalid("source_rate", "finite and > 0", self.source_rate)
         if self.inter_arrival_law not in INTER_ARRIVAL_LAWS:
-            raise ConfigError(
-                f"inter_arrival_law must be one of {INTER_ARRIVAL_LAWS}, "
-                f"got {self.inter_arrival_law!r}"
-            )
+            raise _invalid("inter_arrival_law", f"one of {INTER_ARRIVAL_LAWS}",
+                           self.inter_arrival_law)
         if not (_finite(self.particle_frequency) and self.particle_frequency > 0.0):
-            raise ConfigError(
-                f"particle_frequency must be finite and > 0, got {self.particle_frequency!r}"
-            )
+            raise _invalid("particle_frequency", "finite and > 0", self.particle_frequency)
         if self.particle_initial_phase is not None and not _finite(
             self.particle_initial_phase
         ):
-            raise ConfigError(
-                f"particle_initial_phase must be finite or null, "
-                f"got {self.particle_initial_phase!r}"
-            )
+            raise _invalid("particle_initial_phase", "finite or null",
+                           self.particle_initial_phase)
         for name, sp in (("bs1", self.bs1), ("bs2", self.bs2)):
             if not (_finite(sp.frequency) and sp.frequency >= 0.0):
-                raise ConfigError(f"{name}.frequency must be finite and >= 0, got {sp.frequency!r}")
+                raise _invalid(f"{name}.frequency", "finite and >= 0", sp.frequency)
             if not _finite(sp.initial_offset):
-                raise ConfigError(f"{name}.initial_offset must be finite, got {sp.initial_offset!r}")
+                raise _invalid(f"{name}.initial_offset", "finite", sp.initial_offset)
             if not (_finite(sp.update_alpha) and _finite(sp.update_beta)):
                 raise ConfigError(f"{name} update coefficients must be finite")
             # bounds alpha*p + beta*s over phases in [0, 2*pi)
             if not math.isfinite((abs(sp.update_alpha) + abs(sp.update_beta)) * 2.0 * math.pi):
                 raise ConfigError(f"{name} update coefficients overflow a phase update")
         if not (_finite(self.base_path_length) and self.base_path_length >= 0.0):
-            raise ConfigError(
-                f"base_path_length must be finite and >= 0, got {self.base_path_length!r}"
-            )
+            raise _invalid("base_path_length", "finite and >= 0", self.base_path_length)
         if not (_finite(self.delta) and self.delta >= 0.0):
-            raise ConfigError(f"delta must be finite and >= 0, got {self.delta!r}")
+            raise _invalid("delta", "finite and >= 0", self.delta)
         if not _integer(self.master_seed) or not (0 <= self.master_seed <= MAX_SEED):
-            raise ConfigError(
-                f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}"
-            )
+            raise _invalid("master_seed", "an integer in [0, 2**64)", self.master_seed)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -118,7 +121,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     known = {f.name for f in fields(ExperimentConfig)}
     for key in data:
         if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {_brief(repr(key))}")
     kwargs = dict(data)
     for side in ("bs1", "bs2"):
         if side in kwargs:
@@ -128,7 +131,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             sub_known = {f.name for f in fields(SplitterConfig)}
             for key in sub:
                 if key not in sub_known:
-                    raise ConfigError(f"unknown config key {side}.{key}")
+                    raise ConfigError(f"unknown config key {side}.{_brief(key)}")
             kwargs[side] = SplitterConfig(**sub)
     return ExperimentConfig(**kwargs)
 
@@ -144,6 +147,6 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
         raise ConfigError(f"config file {path} is not UTF-8 text") from None
     try:
         data = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)

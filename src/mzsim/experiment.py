@@ -170,29 +170,38 @@ def _run_stream_py(
     reference the compiled kernel is tested against, and its fallback. It
     takes the kernel's ``run_stream`` arguments and fills the same arrays.
 
-    The photon starts from its wrapped initial offset, and each splitter
-    keeps the offset of its oscillator ``nu*t + offset``. At each splitter
-    the photon's and the splitter's wrapped phases at the interaction time
-    go through ``interact``; a reflection rebases both offsets to the phases
-    it returns (``wrap(phase - nu*t)``).
+    Each oscillator's wrapped phase is carried from one photon to the next
+    by the gap between their emission times, ``wrap(x + nu*gap)``: the
+    source's ``cp`` and BS1's ``s1`` as the photon meets BS1, and BS2's
+    ``c2`` as it would meet BS2 by path 1 (path 2 meets it ``lag2`` later).
+    At each splitter the photon's and the splitter's phases go through
+    ``interact``; a reflection keeps the phases it returns, BS2's shifted
+    back to the path 1 time.
     """
-    splitters = ((nu1, a1, b1), (nu2, a2, b2))
-    xi, outs = [xi1, xi2], (bs1_out, bs2_out)
+    path1, path2 = wrap_phase(nu_p * base), wrap_phase(nu_p * (base + delta))
+    lag2 = wrap_phase(nu2 * delta)
+    cp = path1
+    s1 = wrap_phase(wrap_phase(nu1 * base) + xi1)
+    c2 = wrap_phase(wrap_phase(nu2 * (2.0 * base)) + xi2)
+    prev = 0.0
     for i, emitted, phi in zip(range(n), emissions.tolist(), offsets.tolist()):
-        t, phi = emitted + base, wrap_phase(phi)
-        for k, (nu, a, b) in enumerate(splitters):
-            p, s = wrap_phase(nu_p * t + phi), wrap_phase(nu * t + xi[k])
-            reflected, p, s = interact(p, s, a, b)
-            if reflected:
-                phi, xi[k] = wrap_phase(p - nu_p * t), wrap_phase(s - nu * t)
-            outs[k][i] = reflected
-            t += base if reflected else base + delta
+        gap, prev = emitted - prev, emitted
+        cp, s1 = wrap_phase(cp + nu_p * gap), wrap_phase(s1 + nu1 * gap)
+        c2 = wrap_phase(c2 + nu2 * gap)
+        first, p, s1 = interact(wrap_phase(cp + wrap_phase(phi)), s1, a1, b1)
+        p2 = wrap_phase(p + (path1 if first else path2))
+        second, _, s = interact(p2, c2 if first else wrap_phase(c2 + lag2), a2, b2)
+        if second:
+            c2 = s if first else wrap_phase(s - lag2)
+        bs1_out[i], bs2_out[i] = first, second
 
 
 def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
-    """Every ``nu*t`` the stream loop forms must be finite: ``inf % 2pi`` is
-    NaN, and a NaN phase comparison silently transmits every photon. (An
-    infinite arrival time fails on ``particle_frequency``, which is > 0.)"""
+    """Every ``nu*gap`` and ``nu*path`` the stream loop forms must be finite:
+    ``inf % 2pi`` is NaN, and a NaN phase comparison silently transmits
+    every photon. Each gap and each path is at most the last arrival time
+    ``t_max``, so a finite ``nu*t_max`` bounds them all. (An infinite
+    arrival time fails on ``particle_frequency``, which is > 0.)"""
     t_max = last_emission + 2.0 * config.base_path_length + config.delta
     for name, nu in (
         ("particle_frequency", config.particle_frequency),

@@ -21,21 +21,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import binomial_ci
-from .config import ExperimentConfig
+from .config import _SHOWN, ExperimentConfig, _brief
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("delta", "d1", "d2", "d1_fraction", "ci_lo", "ci_hi")
 CHILD_SEED_FUNCTION = "splitmix64"
 _MAX_PHOTONS = 2**63 - 1  # the stream loop takes its photon count as an int64_t
-_SHOWN = 32  # longest field an error message shows whole; a double's repr fits
-
-
-def _brief(text: str) -> str:
-    """``text``, or its first characters and its length if it is longer than
-    ``_SHOWN``, so that an error line about a field stays one short line."""
-    if len(text) <= _SHOWN:
-        return text
-    return f"{text[:16]}... ({len(text)} characters)"
 
 
 def _parse_error(row: list[str], exc: ValueError) -> str:

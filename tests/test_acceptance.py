@@ -204,14 +204,9 @@ def test_criterion_8_analysis_unit_oracles():
 def test_criterion_9_fringe_needs_random_phases():
     """Random initial phases make the fringe; random emission times do not.
 
-    The all-fixed case's exact all-reflect property holds only while
-    ``nu*t < 2**13``, where the wrap's absolute 1e-12 snap still absorbs the
-    rounding of ``nu*t``. This test's 2e4 photons at rate 20 stay below it.
-    Past it the routing depends on the absolute time: a ``run_mzi`` of 1e6
-    photons with the phase fixed at 0, delta 2 and seed 1 reflects every
-    photon at BS1 up to t = 8192, first transmits at t = 8847.0
-    (exponential gaps) or 8846.8 (fixed gaps), and transmits 30.1% or 74.3%
-    of them in all.
+    The exact all-reflect property of a phase fixed at 0 is checked at 1e6
+    photons too, whose arrival times reach 5e4: it does not depend on how
+    long the stream runs.
     """
     # 48 points over two periods, 2e4 photons per point. Over seeds 1-20 the
     # visibility read 0.507-0.538 with random initial phases (exponential or
@@ -232,20 +227,24 @@ def test_criterion_9_fringe_needs_random_phases():
     seeds = (1, 2, 3)
     random_vis = [sweep_visibility(None, law, s) for law in ("exponential", "fixed") for s in seeds]
     fixed_vis = [sweep_visibility(0.0, "exponential", s) for s in seeds]
-    # A phase fixed at BS1's initial offset (0), with nu1 = nu_p, meets BS1 at
-    # a phase that differs from the splitter's only by the rounding of nu*t,
-    # which wrap's 1e-12 snap takes to 0 while nu*t < 2**13 (here t < 1001);
-    # the update is symmetric, so the two stay equal and BS1 reflects every
-    # photon: none takes the delta arm. With fixed gaps too, the run draws no
-    # random number, so every sweep point is the same run.
-    _, (_, bs1, _) = run_mzi(replace(config(0.0, "fixed", 1), delta=deltas[1]))
+    # A phase fixed at BS1's initial offset (0), with nu1 = nu_p, is carried
+    # by the same steps as BS1's, so the two meet in phase up to the rounding
+    # of BS1's update, which wrap's 1e-12 snap takes to 0; the update is
+    # symmetric, so the two stay in phase and BS1 reflects every photon: none
+    # takes the delta arm. With fixed gaps too, the run draws no random
+    # number, so every sweep point is the same run.
+    bs1 = np.concatenate([
+        run_mzi(replace(config(0.0, law, 1), photon_count=n, delta=deltas[1]))[1][1]
+        for law in ("exponential", "fixed") for n in (base.photon_count, 10**6)
+    ])
     flat = set(run_sweep(config(0.0, "fixed", 1), deltas))
     _report(
         "9 fringe needs random phases",
         min(random_vis) >= 0.45 and max(fixed_vis) <= 0.05 and bs1.all() and len(flat) == 1,
         f"visibility with random initial phases {min(random_vis):.4f}-{max(random_vis):.4f} "
         f"(>= 0.45, exponential and fixed gaps); with the phase fixed at 0 and exponential "
-        f"gaps {min(fixed_vis):.4f}-{max(fixed_vis):.4f} (<= 0.05); phase and gaps fixed: "
-        f"BS1 reflects {np.count_nonzero(bs1)}/{bs1.size} photons, {len(flat)} distinct "
-        f"(d1, d2) over {len(deltas)} points (1 required)",
+        f"gaps {min(fixed_vis):.4f}-{max(fixed_vis):.4f} (<= 0.05); phase fixed, runs of 2e4 "
+        f"and 1e6 photons with exponential and fixed gaps: BS1 reflects "
+        f"{np.count_nonzero(bs1)}/{bs1.size} photons; phase and gaps fixed: {len(flat)} "
+        f"distinct (d1, d2) over {len(deltas)} points (1 required)",
     )

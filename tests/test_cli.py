@@ -371,6 +371,40 @@ def test_wrong_json_type_in_config_is_a_single_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "patch, reason",
+    [({"inter_arrival_law": "x" * 100_000}, "inter_arrival_law must be one of"),
+     ({"x" * 100_000: 1}, "unknown config key 'xxxxxxxxxxxxxxx... (100002 characters)"),
+     ({"bs1": {"x" * 100_000: 1}}, "unknown config key bs1.xxxxxxxxxxxxxxxx... (100000 characters)"),
+     ({"photon_count": "1" * 100_000}, "photon_count must be an integer >= 1, got '111")],
+    ids=["long-law", "long-key", "long-bs1-key", "long-string-photon-count"],
+)
+def test_long_config_value_is_a_single_line_error(tmp_path, capsys, patch, reason):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(patch))
+    assert run_cli("mzi", "--config", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + reason)
+    assert len(captured.err.strip().splitlines()) == 1
+    assert len(captured.err) < len(str(path)) + 120  # the value is shown in brief
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"photon_count": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+    ids=["5000-digit-integer", "nested-100000-deep"],
+)
+def test_config_json_python_cannot_parse_is_a_single_line_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run_cli("mzi", "--config", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config file {path} is not valid JSON: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "patch, field",
     [({"bs1": {"frequency": 1e308}}, "bs1.frequency"),
      ({"particle_frequency": 1e308}, "particle_frequency"),

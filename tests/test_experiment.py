@@ -207,7 +207,7 @@ fast_splitters = st.builds(
     update_alpha=st.floats(-2.0, 2.0),
     update_beta=st.floats(-2.0, 2.0),
 )
-streams_past_2_to_50 = st.builds(
+fast_streams = st.builds(
     ExperimentConfig,
     photon_count=st.integers(400, 600),
     source_rate=st.floats(0.5, 1.0),
@@ -224,14 +224,31 @@ streams_past_2_to_50 = st.builds(
 
 @needs_cc
 @settings(max_examples=20, deadline=None)
-@given(config=streams_past_2_to_50)
-def test_stream_loop_matches_reference_where_phases_pass_2_to_50(config):
-    """The kernel reduces phases with its own remainder below 2**50 and with
-    fmod above; a stream whose nu*t climbs past 2**50 crosses both."""
+@given(config=fast_streams)
+def test_stream_loop_matches_reference_where_each_phase_step_passes_4_pi(config):
+    """The kernel's wrap takes no quotient for -TWO_PI < x < 2*TWO_PI and
+    calls fmod otherwise; at these frequencies every nu*gap step by which a
+    phase is carried is past 4*pi, so every step takes the fmod path."""
     emissions, _ = drawn_stream(config)
-    t_last = emissions[-1] + config.base_path_length
-    assert config.particle_frequency * emissions[0] < 2**50 < config.particle_frequency * t_last
+    gaps = np.diff(emissions, prepend=0.0)
+    slowest = min(config.particle_frequency, config.bs1.frequency, config.bs2.frequency)
+    assert slowest * gaps.min() > 2 * TWO_PI
     assert_kernel_fills_the_reference_arrays(config)
+
+
+@pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
+def test_phase_fixed_at_bs1_offset_reflects_every_photon_at_any_time(loop, law):
+    """With the photon's phase fixed at BS1's offset (0) and nu1 = nu_p, the
+    photon meets BS1 in phase, and its symmetric update keeps the two in
+    phase, so BS1 reflects every photon. At rate 0.05 the arrival times
+    reach ~6e4, past the 2**13 from which the rounding of a phase formed as
+    wrap(nu*t + offset) outgrows wrap's 1e-12 snap; the loops carry each
+    phase by the gaps, so that rounding never reaches a decision."""
+    cfg = small_config(photon_count=3000, source_rate=0.05, inter_arrival_law=law,
+                       particle_initial_phase=0.0, delta=2.0, master_seed=1)
+    _, (emissions, bs1, _) = run_mzi(cfg)
+    assert emissions[-1] > 2 * 2**13
+    assert np.count_nonzero(bs1 == 0) == 0
 
 
 # TWO_PI - WRAP_SNAP itself is excluded: TWO_PI minus it is not below

@@ -117,8 +117,8 @@ def test_kernel_compiles_without_warnings(tmp_path):
 def wrap_cases() -> np.ndarray:
     """About 1.7 million doubles that probe the kernel's phase reduction:
     the ranges the loop sees, every exponent, the neighbours of multiples
-    of TWO_PI up to the fmod fallback at 2**50, and the edges, among them
-    those of the quotient-free path for |x| < TWO_PI."""
+    of TWO_PI, and the edges, among them those of the quotient-free path
+    for -TWO_PI < x < 2*TWO_PI."""
     rng = np.random.default_rng(2005)
     n = 150_000
     sign = rng.choice([-1.0, 1.0], 2 * n)
@@ -126,10 +126,14 @@ def wrap_cases() -> np.ndarray:
     multiples = k * TWO_PI
     up = np.nextafter(multiples, np.inf)
     edges = [2.0**50, -(2.0**50), 2.0**50 - 1, 0.0, -0.0, 5e-324, -5e-324,
-             1e300, -1e300, TWO_PI, -TWO_PI, np.pi, -np.pi]
+             1e300, -1e300, np.pi, -np.pi]
     # |x| just below TWO_PI, and either side of the snap at TWO_PI - WRAP_SNAP
     below = np.array([np.nextafter(TWO_PI, 0.0), TWO_PI - WRAP_SNAP])
     below = np.concatenate([below, np.nextafter(below, 0.0), np.nextafter(below, np.inf)])
+    # the ends of the quotient-free path, -TWO_PI and 2*TWO_PI, and the
+    # step at TWO_PI, each with its neighbours on both sides
+    ends = np.array([-TWO_PI, TWO_PI, 2 * TWO_PI, -2 * TWO_PI])
+    ends = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
     # Negatives so small that x + TWO_PI rounds to TWO_PI (|x| up to half an
     # ulp of TWO_PI, 2**-51) or lands within WRAP_SNAP of it: both snap to 0.
     tiny = np.concatenate([np.ldexp(1.0, np.arange(-1074, -38)),
@@ -140,7 +144,7 @@ def wrap_cases() -> np.ndarray:
         rng.uniform(-TWO_PI, TWO_PI, 400_000),
         sign * np.ldexp(rng.uniform(0.5, 1.0, 2 * n), rng.integers(-1074, 1024, 2 * n)),
         multiples, up, np.nextafter(multiples, -np.inf), np.nextafter(up, np.inf),
-        edges, below, -below, -tiny,
+        edges, below, -below, -tiny, ends,
     ])
 
 
@@ -202,25 +206,3 @@ def test_kernel_wrap_equals_wrap_phase_bit_for_bit(fresh_loader):
     got = call_wrap(kernel_functions()[1], x)
     mismatched = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
     assert mismatched.size == 0, [(x[i], got[i], expected[i]) for i in mismatched[:5]]
-
-
-@needs_cc
-def test_default_clone_equals_the_clone_picked_at_load(tmp_path, monkeypatch, fresh_loader):
-    # Where the CPU has FMA the loader never runs the default (non-FMA)
-    # build, so build the source without the clones and compare the two.
-    shipped = kernel_functions()
-    source = experiment._KERNEL_SOURCE.read_text().splitlines(keepends=True)
-    kept = [line for line in source if 'target_clones("' not in line]
-    assert len(kept) == len(source) - 1
-    copy = tmp_path / "_kernel.c"
-    copy.write_text("".join(kept))
-    monkeypatch.setattr(experiment, "_KERNEL_SOURCE", copy)
-    _load_kernel.cache_clear()
-    default = kernel_functions()
-
-    x = wrap_cases()
-    assert call_wrap(shipped[1], x).tobytes() == call_wrap(default[1], x).tobytes()
-    cfg = replace(ExperimentConfig(), delta=1.5)
-    for ours, theirs in zip(stream_outcomes(shipped[0], cfg),
-                            stream_outcomes(default[0], cfg)):
-        assert np.array_equal(ours, theirs)
