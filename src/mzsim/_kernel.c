@@ -35,8 +35,11 @@ static const double WRAP_SNAP = 1e-12;                /* phases.WRAP_SNAP */
  * the sum rounds to TWO_PI is then snapped to 0). From TWO_PI up it is
  * x - TWO_PI, which is exact by Sterbenz's lemma and so is fmod's value.
  * Otherwise it is x, and x = -0.0 gives -0.0 + 0.0 = +0.0, Python's zero.
- * The addend is a select, not a branch, because the sign of p - s is
- * random and a branch on it would be mispredicted half the time. Other
+ * gcc 12.2 at -O2 turns the x >= TWO_PI arm of the addend into a mask
+ * (cmplesd, andpd) but the x < 0.0 arm into a branch (comisd, ja), though
+ * the sign of p - s is random. A build with both arms masked was no
+ * faster: 58.6 and 50.5 against 55.2 and 48.4 ns/photon, in two
+ * alternating runs over 10 sweep points on a 2-core x86-64 VM. Other
  * arguments, infinities and NaN go to fmod. */
 static inline __attribute__((always_inline)) double wrap(double x)
 {

@@ -13,7 +13,8 @@ import numpy as np
 from .phases import TWO_PI, wrap_phase
 
 _FREQ_SCAN_POINTS = 512
-_SCAN_ELEMENTS = 8 * 1024  # doubles per scan work array (five): 8 frequencies at 1024 rows
+_SCAN_ELEMENTS = 8 * 1024  # bounds the scan's tables and chunk work (see _scan_frequency)
+_TABLE_ROWS = 16  # most angle-addition table rows
 _MAX_ADDED_ANGLE = 2.0**12  # largest |w*x| whose sines come by angle addition
 _MAX_GRAM_COND = 1e5  # scores of worse-conditioned frequencies are re-scored
 _MIN_FIT_POINTS = 8
@@ -87,6 +88,98 @@ def _trusted_grams(gram: np.ndarray) -> np.ndarray:
     return det > np.maximum(trace * minors / _MAX_GRAM_COND, floor)
 
 
+def _double_angle(cos: np.ndarray, sin: np.ndarray,
+                  cos2: np.ndarray, half_sin2: np.ndarray) -> None:
+    """cos(2a) and sin(2a)/2 from cos(a) and sin(a), written into
+    ``cos2`` and ``half_sin2``. They are computed as the square of ``cos +
+    i*sin``, so they carry twice the angle those two carry, to a few ulp."""
+    np.multiply(cos, cos, out=cos2)
+    cos2 -= np.multiply(sin, sin, out=half_sin2)
+    np.multiply(sin, cos, out=half_sin2)
+
+
+def _normal_equations(
+    x: np.ndarray, y: np.ndarray, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 3x3 Gram matrices and right-hand sides of the model
+    ``c0 + a*sin(wx) + b*cos(wx)`` at every frequency of ``grid``, stacked:
+    step 1 of :func:`_scan_frequency`, which describes how."""
+    n = x.size
+    rows = max(1, min(_TABLE_ROWS, _SCAN_ELEMENTS // n))
+    if grid[-1] * float(np.abs(x).max()) > _MAX_ADDED_ANGLE:
+        rows = 1  # every frequency evaluated directly
+    by_addition = rows > 1
+    # block starts per chunk
+    width = max(1, min(_SCAN_ELEMENTS // 2, 4 * _SCAN_ELEMENTS // rows) // n)
+    chunks = -(-grid.size // (rows * width))
+    width = -(-grid.size // (rows * chunks))  # as many chunks, least padding
+    starts = grid.take(np.arange(0, chunks * width * rows, rows), mode="clip")
+
+    # cos, sin, cos2 and half_sin2 of m*h*x, m < rows; row 0 is exactly 1, 0, 1, 0
+    table = np.empty((4, rows, n))
+    h = (grid[-1] - grid[0]) / (grid.size - 1)
+    angle = np.multiply.outer(np.arange(rows) * h, x)
+    np.cos(angle, out=table[0])
+    np.sin(angle, out=table[1])
+    _double_angle(*table)
+    single, double = table[:2].reshape(2 * rows, n), table[2:].reshape(2 * rows, n)
+    if by_addition:  # cos and sin of j*rows*h*x, j < width: a chunk's first start to its j-th
+        angle = np.multiply.outer(np.arange(width) * (rows * h), x)
+        shift_cos, shift_sin = np.cos(angle), np.sin(angle)
+    # per chunk: cos, sin, y*cos, y*sin, cos2 and half_sin2 of w_b*x at its block starts
+    work = np.empty((6, width, n))
+    cos_b, sin_b = work[0], work[1]
+    terms, pairs = work[:4].reshape(4 * width, n), work[4:].reshape(2 * width, n)
+    sums = np.empty((chunks, 2 * rows, 4 * width))
+    sums2 = np.empty((chunks, 2 * rows, 2 * width))
+    for chunk, block_starts in enumerate(starts.reshape(chunks, width)):
+        if by_addition:
+            angle = block_starts[0] * x
+            first_cos, first_sin = np.cos(angle), np.sin(angle)
+            np.multiply(shift_cos, first_cos, out=cos_b)
+            cos_b -= np.multiply(shift_sin, first_sin, out=work[4])
+            np.multiply(shift_cos, first_sin, out=sin_b)
+            sin_b += np.multiply(shift_sin, first_cos, out=work[4])
+        else:
+            angle = np.multiply.outer(block_starts, x)
+            np.cos(angle, out=cos_b)
+            np.sin(angle, out=sin_b)
+        _double_angle(cos_b, sin_b, work[4], work[5])
+        np.multiply(terms[: 2 * width], y, out=terms[2 * width :])
+        np.matmul(single, terms.T, out=sums[chunk])
+        np.matmul(double, pairs.T, out=sums2[chunk])
+
+    def in_grid_order(a: np.ndarray) -> np.ndarray:  # (chunk, m, ..., b) -> (..., frequency)
+        a = np.moveaxis(a, (0, 1), (-3, -1))
+        return a.reshape(*a.shape[:-3], -1)[..., : grid.size]
+
+    # by angle addition, cos(a + b) = cos a cos b - sin a sin b and
+    # sin(a + b) = sin a cos b + cos a sin b, with a = m*h*x and b = w_b*x
+    # axes: chunk, (cos, sin) of a, m, (1, y), (cos, sin) of b, b
+    p = sums.reshape(chunks, 2, rows, 2, 2, width)
+    cos_sum = in_grid_order(p[:, 0, :, :, 0] - p[:, 1, :, :, 1])
+    sin_sum = in_grid_order(p[:, 1, :, :, 0] + p[:, 0, :, :, 1])
+    # cos 2(a + b) = cos 2a cos 2b - 4 half_sin2(a) half_sin2(b), and
+    # sin(a + b)cos(a + b) = half_sin2(a) cos 2b + cos 2a half_sin2(b);
+    # axes: chunk, (cos2, half_sin2) of a, m, (cos2, half_sin2) of b, b
+    p2 = sums2.reshape(chunks, 2, rows, 2, width)
+    cos2_sum = in_grid_order(p2[:, 0, :, 0] - 4.0 * p2[:, 1, :, 1])
+    sin_cos_sum = in_grid_order(p2[:, 1, :, 0] + p2[:, 0, :, 1])
+
+    gram = np.empty((grid.size, 3, 3))
+    rhs = np.empty((grid.size, 3))
+    gram[:, 0, 0] = n
+    gram[:, 0, 1] = gram[:, 1, 0] = sin_sum[0]
+    gram[:, 0, 2] = gram[:, 2, 0] = cos_sum[0]
+    gram[:, 1, 1] = 0.5 * (n - cos2_sum)
+    gram[:, 1, 2] = gram[:, 2, 1] = sin_cos_sum
+    gram[:, 2, 2] = 0.5 * (n + cos2_sum)
+    rhs[:, 0] = y.sum()
+    rhs[:, 1] = sin_sum[1]
+    rhs[:, 2] = cos_sum[1]
+    return gram, rhs
+
+
 def _scan_frequency(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> tuple[float, np.ndarray]:
     """Pick the best frequency from ``grid`` (see :func:`_frequency_grid`) by
     linear projection.
@@ -95,27 +188,47 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> tuple[flo
     the candidate with the smallest residual seeds the nonlinear refinement.
 
     The whole grid is ranked first from the 3x3 normal equations, with the
-    residual taken as ``y.y - coef.(X^T y)``, in blocks of
-    ``step = _SCAN_ELEMENTS // rows`` frequencies (one at the least), held in
-    five work arrays of ``step`` rows. That score is exact only up to
+    residual taken as ``y.y - coef.(X^T y)``. That score is exact only up to
     rounding, so the candidates are re-scored with ``lstsq`` in grid order
     and the first smallest residual wins: every frequency scoring within
     ``max(1e-6*|best|, 1e-9*y.y)`` of the best, and every frequency whose
     Gram matrix is too ill-conditioned for its score to be trusted. The pick
     is therefore the one an ``lstsq`` at every grid frequency would make.
 
-    The grid is evenly spaced, by h, so for ``w = grid[start] + m*h`` angle
-    addition gives ``sin(wx) = sin(grid[start]*x)*cos(mhx) +
-    cos(grid[start]*x)*sin(mhx)``, and the cosine likewise. The table of
-    ``sin(mhx)``, ``cos(mhx)`` for ``m < step`` is evaluated once per fit,
-    and each block evaluates only its first frequency.
+    The normal equations' sums come from matrix products. The grid is evenly
+    spaced, by h, so for ``w = w_b + m*h`` angle addition gives
+    ``cos(wx) = cos(w_b x)cos(mhx) - sin(w_b x)sin(mhx)`` and ``sin(wx) =
+    sin(w_b x)cos(mhx) + cos(w_b x)sin(mhx)``. A table of ``cos(mhx)``,
+    ``sin(mhx)`` for m < ``rows = min(16, 8192 // x.size)`` is made once per
+    fit. The block starts w_b, every ``rows``-th grid point, go in chunks of
+    ``width``, and a chunk's starts take their cos and sin from its first
+    start's, by angle addition again, with a second table of ``j*rows*h*x``
+    for j < ``width``. One product of the first table with ``cos(w_b x)``,
+    ``sin(w_b x)``, ``y*cos(w_b x)`` and ``y*sin(w_b x)`` gives the sums of
+    sin, cos, y*sin and y*cos at ``rows * width`` frequencies. The sums of
+    sin^2, cos^2 and sin*cos follow from those of cos(2wx) and sin(2wx)/2,
+    by a second product of the same form over the double angles (see
+    :func:`_double_angle`). A chunk holds ``width = min(4096, 32768 //
+    rows) // x.size`` starts (one at the least). While x.size <= 8192, the
+    tables take ``(4*rows + 2*width)*x.size`` doubles and a chunk
+    ``6*width*x.size``, at most 4, 1 and 3 times ``_SCAN_ELEMENTS``, and
+    each product at most ``32*_SCAN_ELEMENTS`` multiply-adds, below the
+    size at which OpenBLAS runs a product on a second thread.
 
     Why that keeps the pick: let T = grid[-1]*max|x| bound every |wx|, and
-    u = 2**-53. The rounding of grid[start]*x, of mhx and of the grid points
-    each move an angle by a few u*T, and the table, the first row and the
-    sum add a few u, so each entry is within d = 10u(T + 1) of the
-    ``np.sin(fl(w*x))`` that ``lstsq`` sees (the most seen over random
-    sweeps is 4u(T + 1)). A trusted Gram matrix has trace 2n and condition number at
+    u = 2**-53. Each term of a sum carries the angle t = fl(w_c*x) +
+    fl(j*rows*h*x) + fl(mhx), with w_c its chunk's first start: its cos and
+    sin are the real and imaginary parts of the product of ``cos + i*sin``
+    of the three, each within a few u of unit modulus and of its angle. The
+    rounding of those three products, of h and of the grid points each move
+    t by a few u*T from the ``fl(w*x)`` that ``lstsq`` sees, so the columns
+    sin t, cos t are within d = 10u(T + 1) of the reference's (the most
+    seen over 552 random sweeps is 3.4u(T + 1)). The double-angle factors
+    are the squares of the single-angle ones, so they carry 2t to a few u,
+    and sin^2 t = (1 - cos 2t)/2 and sin t cos t = sin(2t)/2 hold for that
+    same t: each Gram and rhs entry is the entry of the columns sin t, cos t
+    to a few u per summed term, the order of the rounding of the sums
+    themselves. A trusted Gram matrix has trace 2n and condition number at
     most K = ``_MAX_GRAM_COND``, so its coefficients have
     ``|coef| <= |y|*sqrt(3K/2n)``, and moving the sine and cosine columns by
     at most d moves the fitted residual r by at most ``d*|y|*sqrt(3K)`` and
@@ -123,50 +236,16 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> tuple[flo
     geometric mean of its two terms, ``10**-7.5*|r||y|``, with r the best
     frequency's residual, so the lstsq pick and the best-scoring frequency,
     each that close to its own score, stay within it while
-    ``4d*sqrt(3K) <= 10**-7.5``, that is d <= 1.4e-11. Leaving half of
-    that to the normal equations' own rounding gives T + 1 <= 6500, and
-    ``_MAX_ADDED_ANGLE`` is the power of two below. Above it (a span far
-    from delta 0) every block's sines are evaluated directly, as
-    ``np.sin(fl(w*x))``, whose rounding is the reference's own.
+    ``4d*sqrt(3K) <= 10**-7.5``, that is d <= 1.4e-11. Leaving half of that
+    to the rounding of the Gram and rhs entries gives T + 1 <= 6500, and
+    ``_MAX_ADDED_ANGLE`` is the power of two below; the doubled angles need
+    no bound of their own, as they move with t. Above it (a span far from
+    delta 0), and above 4096 rows, the first table is the one row m = 0,
+    whose cos and sin are exactly 1 and 0, and every block start is
+    evaluated directly, so t is fl(w*x) and its rounding the reference's
+    own.
     """
-    gram = np.empty((grid.size, 3, 3))
-    rhs = np.empty((grid.size, 3))
-    gram[:, 0, 0] = x.size
-    rhs[:, 0] = y.sum()
-    step = max(1, _SCAN_ELEMENTS // x.size)
-    sin_wx, cos_wx, work, sin_mhx, cos_mhx = np.empty((5, step, x.size))
-    by_addition = grid[-1] * float(np.abs(x).max()) <= _MAX_ADDED_ANGLE
-    if by_addition:
-        h = (grid[-1] - grid[0]) / (grid.size - 1)
-        np.multiply.outer(np.arange(step) * h, x, out=work)
-        np.sin(work, out=sin_mhx)
-        np.cos(work, out=cos_mhx)
-    for start in range(0, grid.size, step):
-        k = min(step, grid.size - start)
-        block = slice(start, start + k)
-        s, c, t = sin_wx[:k], cos_wx[:k], work[:k]
-        if by_addition:
-            first = grid[start] * x
-            sin_first = np.sin(first)
-            cos_first = np.cos(first)
-            np.multiply(cos_mhx[:k], sin_first, out=s)
-            np.multiply(sin_mhx[:k], cos_first, out=t)
-            s += t
-            np.multiply(cos_mhx[:k], cos_first, out=c)
-            np.multiply(sin_mhx[:k], sin_first, out=t)
-            c -= t
-        else:
-            np.multiply.outer(grid[block], x, out=t)
-            np.sin(t, out=s)
-            np.cos(t, out=c)
-        g = gram[block]
-        g[:, 0, 1] = g[:, 1, 0] = s.sum(axis=1)
-        g[:, 0, 2] = g[:, 2, 0] = c.sum(axis=1)
-        g[:, 1, 1] = np.einsum("ij,ij->i", s, s)
-        g[:, 1, 2] = g[:, 2, 1] = np.einsum("ij,ij->i", s, c)
-        g[:, 2, 2] = np.einsum("ij,ij->i", c, c)
-        rhs[block, 1] = s @ y
-        rhs[block, 2] = c @ y
+    gram, rhs = _normal_equations(x, y, grid)
     trusted = _trusted_grams(gram)
     gram[~trusted] = np.eye(3)  # re-scored anyway; keeps solve from raising
     coef = np.linalg.solve(gram, rhs[..., None])[..., 0]

@@ -15,11 +15,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-import shutil
 import struct
-import subprocess
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,6 +88,8 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 def _compiler() -> str | None:
+    import shutil
+
     return shutil.which("cc")
 
 
@@ -99,9 +98,13 @@ def _build_kernel() -> Path:
 
     The file name carries a hash of the source and flags, so an edit to
     either builds a new library. Processes compiling at the same time each
-    write their own temporary file and move it into place atomically.
+    write their own temporary file and move it into place atomically. Once
+    the new library is in place the other ``_kernel-*.so`` there, built from
+    an earlier source or flags, are removed; a process that has one loaded
+    keeps its mapping.
     """
     import hashlib
+    import subprocess
 
     source = _KERNEL_SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
@@ -121,6 +124,9 @@ def _build_kernel() -> Path:
         os.replace(tmp, lib)
     finally:
         tmp.unlink(missing_ok=True)
+    for stale in lib.parent.glob("_kernel-*.so"):
+        if stale != lib:
+            stale.unlink(missing_ok=True)
     return lib
 
 
@@ -129,6 +135,7 @@ def _load_kernel():
     """The compiled ``run_stream`` of ``_kernel.c``, loaded once per process,
     or None (with one warning) when it cannot be built or loaded here."""
     import ctypes
+    import subprocess
 
     try:
         lib = ctypes.CDLL(str(_build_kernel()))
@@ -317,6 +324,8 @@ def run_sweep(
     workers = pool_size(jobs, len(configs), os.cpu_count())
     if workers == 1:
         return _sweep_points(configs)
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         slices = pool.map(_sweep_points, _contiguous_slices(configs, workers))
         return [counts for part in slices for counts in part]

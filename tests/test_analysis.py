@@ -280,6 +280,21 @@ def test_scan_rescores_frequencies_whose_gram_is_ill_conditioned(x, y):
     assert_scan_matches_reference(np.array(x), np.array(y))
 
 
+@pytest.mark.parametrize(
+    "rows", [8, 129, 512, 513, 600, 1023, 1024, 1025, 2049, 4096, 4097, 8192, 8193]
+)
+def test_scan_matches_reference_at_each_table_and_chunk_shape(rows):
+    # The angle-addition table has R = min(16, 8192 // rows) rows and a
+    # chunk up to min(4096, 32768 // R) // rows block starts, so these sizes
+    # take each side of a change in either; from 4097 rows (R = 1) every
+    # start is evaluated directly, and at 129, 513, 600, 1025 and 2049 the
+    # last chunk runs past the end of the grid.
+    rng = np.random.default_rng(rows)
+    x = np.sort(rng.uniform(-5.0, 20.0, rows))
+    y = 0.5 + 0.3 * np.sin(1.3 * x + 0.4) + rng.normal(0.0, 0.1, rows)
+    assert_scan_matches_reference(x, y)
+
+
 @pytest.mark.parametrize("spans", [1e3, 1e12])
 def test_scan_matches_reference_far_from_delta_zero(spans):
     # Every |w*x| here is above _MAX_ADDED_ANGLE, so the sines are evaluated

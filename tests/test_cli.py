@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,21 @@ from test_output import LARGE_COUNT_ROWS
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_importing_the_cli_leaves_out_the_process_pool_and_subprocess():
+    # Only a parallel sweep needs the pool, and only loading the kernel needs
+    # subprocess; every other command would pay for importing them.
+    script = (
+        "import sys, mzsim.cli\n"
+        "print([m for m in ('concurrent.futures', 'subprocess') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_single_bs_is_deterministic(tmp_path, capsys):

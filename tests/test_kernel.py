@@ -104,6 +104,21 @@ def test_concurrent_first_compile_leaves_one_library(tmp_path):
 
 
 @needs_cc
+def test_rebuild_after_an_edit_leaves_one_library(tmp_path, monkeypatch):
+    source = tmp_path / "_kernel.c"
+    shutil.copyfile(experiment._KERNEL_SOURCE, source)
+    monkeypatch.setattr(experiment, "_KERNEL_SOURCE", source)
+    first = experiment._build_kernel()
+    wrap_array = library_wrap_array(first)
+    source.write_text(source.read_text() + "\n/* edited */\n")
+    second = experiment._build_kernel()
+    assert second != first
+    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [second.name]
+    # The removed library stays mapped in the process that loaded it.
+    assert call_wrap(wrap_array, np.array([-1.0, 7.0])).tolist() == [wrap_phase(-1.0), wrap_phase(7.0)]
+
+
+@needs_cc
 def test_kernel_compiles_without_warnings(tmp_path):
     done = subprocess.run(
         [CC, *experiment._CFLAGS, "-Wall", "-Wextra", "-Wconversion", "-Wdouble-promotion",
@@ -153,11 +168,17 @@ def kernel_functions():
     ``experiment._KERNEL_SOURCE``, with their argument types set."""
     run = _load_kernel()
     assert run is not None, "the compiled kernel did not load"
-    wrap_array = ctypes.CDLL(str(experiment._build_kernel())).wrap_array
+    return run, library_wrap_array(experiment._build_kernel())
+
+
+def library_wrap_array(path):
+    """``wrap_array`` of the kernel library at ``path``, with its argument
+    types set."""
+    wrap_array = ctypes.CDLL(str(path)).wrap_array
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     wrap_array.argtypes = [doubles, ctypes.c_int64, doubles]
     wrap_array.restype = None
-    return run, wrap_array
+    return wrap_array
 
 
 def call_wrap(wrap_array, x):
