@@ -15,7 +15,6 @@ from .phases import TWO_PI, wrap_phase
 _FREQ_SCAN_POINTS = 512
 _SCAN_ELEMENTS = 8 * 1024  # bounds the scan's tables and chunk work (see _scan_frequency)
 _TABLE_ROWS = 16  # most angle-addition table rows
-_MAX_ADDED_ANGLE = 2.0**12  # largest |w*x| whose sines come by angle addition
 _MAX_GRAM_COND = 1e5  # scores of worse-conditioned frequencies are re-scored
 _MIN_FIT_POINTS = 8
 _GN_MAX_ITER = 100
@@ -106,9 +105,6 @@ def _normal_equations(
     step 1 of :func:`_scan_frequency`, which describes how."""
     n = x.size
     rows = max(1, min(_TABLE_ROWS, _SCAN_ELEMENTS // n))
-    if grid[-1] * float(np.abs(x).max()) > _MAX_ADDED_ANGLE:
-        rows = 1  # every frequency evaluated directly
-    by_addition = rows > 1
     # block starts per chunk
     width = max(1, min(_SCAN_ELEMENTS // 2, 4 * _SCAN_ELEMENTS // rows) // n)
     chunks = -(-grid.size // (rows * width))
@@ -123,9 +119,9 @@ def _normal_equations(
     np.sin(angle, out=table[1])
     _double_angle(*table)
     single, double = table[:2].reshape(2 * rows, n), table[2:].reshape(2 * rows, n)
-    if by_addition:  # cos and sin of j*rows*h*x, j < width: a chunk's first start to its j-th
-        angle = np.multiply.outer(np.arange(width) * (rows * h), x)
-        shift_cos, shift_sin = np.cos(angle), np.sin(angle)
+    # cos and sin of j*rows*h*x, 0 < j < width: a chunk's first start to its j-th
+    angle = np.multiply.outer(np.arange(1, width) * (rows * h), x)
+    shift_cos, shift_sin = np.cos(angle), np.sin(angle)
     # per chunk: cos, sin, y*cos, y*sin, cos2 and half_sin2 of w_b*x at its block starts
     work = np.empty((6, width, n))
     cos_b, sin_b = work[0], work[1]
@@ -133,17 +129,12 @@ def _normal_equations(
     sums = np.empty((chunks, 2 * rows, 4 * width))
     sums2 = np.empty((chunks, 2 * rows, 2 * width))
     for chunk, block_starts in enumerate(starts.reshape(chunks, width)):
-        if by_addition:
-            angle = block_starts[0] * x
-            first_cos, first_sin = np.cos(angle), np.sin(angle)
-            np.multiply(shift_cos, first_cos, out=cos_b)
-            cos_b -= np.multiply(shift_sin, first_sin, out=work[4])
-            np.multiply(shift_cos, first_sin, out=sin_b)
-            sin_b += np.multiply(shift_sin, first_cos, out=work[4])
-        else:
-            angle = np.multiply.outer(block_starts, x)
-            np.cos(angle, out=cos_b)
-            np.sin(angle, out=sin_b)
+        angle = np.multiply(block_starts[0], x, out=work[4, 0])
+        first_cos, first_sin = np.cos(angle, out=cos_b[0]), np.sin(angle, out=sin_b[0])
+        np.multiply(shift_cos, first_cos, out=cos_b[1:])
+        cos_b[1:] -= np.multiply(shift_sin, first_sin, out=work[4, 1:])
+        np.multiply(shift_cos, first_sin, out=sin_b[1:])
+        sin_b[1:] += np.multiply(shift_sin, first_cos, out=work[4, 1:])
         _double_angle(cos_b, sin_b, work[4], work[5])
         np.multiply(terms[: 2 * width], y, out=terms[2 * width :])
         np.matmul(single, terms.T, out=sums[chunk])
@@ -203,19 +194,20 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> tuple[flo
     fit. The block starts w_b, every ``rows``-th grid point, go in chunks of
     ``width``, and a chunk's starts take their cos and sin from its first
     start's, by angle addition again, with a second table of ``j*rows*h*x``
-    for j < ``width``. One product of the first table with ``cos(w_b x)``,
+    for 0 < j < ``width``. One product of the first table with ``cos(w_b x)``,
     ``sin(w_b x)``, ``y*cos(w_b x)`` and ``y*sin(w_b x)`` gives the sums of
     sin, cos, y*sin and y*cos at ``rows * width`` frequencies. The sums of
     sin^2, cos^2 and sin*cos follow from those of cos(2wx) and sin(2wx)/2,
     by a second product of the same form over the double angles (see
     :func:`_double_angle`). A chunk holds ``width = min(4096, 32768 //
-    rows) // x.size`` starts (one at the least). While x.size <= 8192, the
-    tables take ``(4*rows + 2*width)*x.size`` doubles and a chunk
+    rows) // x.size`` starts (one at the least). While x.size <= 4096, the
+    tables take ``(4*rows + 2*width - 2)*x.size`` doubles and a chunk
     ``6*width*x.size``, at most 4, 1 and 3 times ``_SCAN_ELEMENTS``, and
     each product at most ``32*_SCAN_ELEMENTS`` multiply-adds, below the
     size at which OpenBLAS runs a product on a second thread.
 
-    Why that keeps the pick: let T = grid[-1]*max|x| bound every |wx|, and
+    Why that keeps the pick: x runs from 0, as :func:`fit_sine` passes it,
+    so T = grid[-1]*max(x) = 20*pi (to rounding) bounds every |wx|; let
     u = 2**-53. Each term of a sum carries the angle t = fl(w_c*x) +
     fl(j*rows*h*x) + fl(mhx), with w_c its chunk's first start: its cos and
     sin are the real and imaginary parts of the product of ``cos + i*sin``
@@ -237,13 +229,12 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> tuple[flo
     frequency's residual, so the lstsq pick and the best-scoring frequency,
     each that close to its own score, stay within it while
     ``4d*sqrt(3K) <= 10**-7.5``, that is d <= 1.4e-11. Leaving half of that
-    to the rounding of the Gram and rhs entries gives T + 1 <= 6500, and
-    ``_MAX_ADDED_ANGLE`` is the power of two below; the doubled angles need
-    no bound of their own, as they move with t. Above it (a span far from
-    delta 0), and above 4096 rows, the first table is the one row m = 0,
-    whose cos and sin are exactly 1 and 0, and every block start is
-    evaluated directly, so t is fl(w*x) and its rounding the reference's
-    own.
+    to the rounding of the Gram and rhs entries allows T + 1 <= 6500, and
+    T = 20*pi gives d = 7.1e-14, about 100 times below; the doubled angles
+    need no bound of their own, as they move with t. Above 4096 rows the
+    first table is one row of angle 0, whose cos and sin are exactly 1 and
+    0, and the second is empty, so every frequency is a block start and its
+    terms are the reference's own ``cos``/``sin(fl(w*x))``.
     """
     gram, rhs = _normal_equations(x, y, grid)
     trusted = _trusted_grams(gram)
@@ -281,6 +272,10 @@ def fit_sine(deltas: list[float], fractions: list[float]) -> SineFit | None:
     refined with Gauss-Newton steps, halving the step whenever it fails to
     reduce the residual. If the iteration cap is reached the best parameters
     found are returned with ``converged=False``.
+
+    Both steps work on the deltas measured from the smallest one, so that
+    every ``|w*x|`` the scan forms is at most 20*pi; the phase is referred
+    back to delta 0 at the end.
     """
     x = np.asarray(deltas, dtype=float)
     y = np.asarray(fractions, dtype=float)
@@ -288,9 +283,11 @@ def fit_sine(deltas: list[float], fractions: list[float]) -> SineFit | None:
         raise ValueError(f"deltas, fractions must be 1-D and of one length, got {x.shape}, {y.shape}")
     if x.size < _MIN_FIT_POINTS or np.unique(x).size < 2:
         return None
-    grid = _frequency_grid(float(x.max()) - float(x.min()))
+    x0 = float(x.min())
+    grid = _frequency_grid(float(x.max()) - x0)
     if grid is None:
         return None
+    x = x - x0
 
     w, coef = _scan_frequency(x, y, grid)
     c0, a, b = (float(v) for v in coef)
@@ -307,7 +304,7 @@ def fit_sine(deltas: list[float], fractions: list[float]) -> SineFit | None:
         jac = np.column_stack(
             [np.ones_like(x), sin_wx, cos_wx, x * (a * cos_wx - b * sin_wx)]
         )
-        step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
+        step = np.linalg.lstsq(jac, resid, rcond=None)[0].tolist()
         scale = 1.0
         improved = False
         for _ in range(_GN_MAX_HALVINGS):
@@ -327,7 +324,7 @@ def fit_sine(deltas: list[float], fractions: list[float]) -> SineFit | None:
     if w < 0.0:
         w, a = -w, -a
     amplitude = math.hypot(a, b)
-    phase = wrap_phase(math.atan2(b, a)) if amplitude > 0.0 else 0.0
+    phase = wrap_phase(math.atan2(b, a) - w * x0) if amplitude > 0.0 else 0.0
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot > 0.0:
         r_squared = 1.0 - sse / ss_tot
