@@ -66,7 +66,7 @@ void wrap_array(const double *x, int64_t n, double *out)
 /* Stream n photons through BS1, then BS2. bs1_out[i] and bs2_out[i] are 1
  * where photon i reflected at that splitter; a single-bs run reads only
  * bs1_out (see the top). offsets[i] is photon i's initial phase, wrapped
- * here; xi1 and xi2 are the splitters' wrapped initial offsets.
+ * here. The starting phases and path steps come from _stream_params.
  *
  * cp is the source's phase, s1 BS1's, each as the current photon meets
  * BS1; c2 is BS2's as the photon would meet it by path 1. A reflection at
@@ -74,17 +74,12 @@ void wrap_array(const double *x, int64_t n, double *out)
  * longer by delta, so BS2 is met lag2 further on, and a reflection there
  * stores BS2's updated phase back at the path 1 time. */
 void run_stream(const double *emissions, const double *offsets, int64_t n,
-                double nu_p, double base, double delta,
-                double nu1, double a1, double b1, double xi1,
-                double nu2, double a2, double b2, double xi2,
+                double nu_p, double path1, double path2,
+                double nu1, double a1, double b1, double s1,
+                double nu2, double a2, double b2, double c2, double lag2,
                 int8_t *bs1_out, int8_t *bs2_out)
 {
-    double path1 = wrap(nu_p * base), path2 = wrap(nu_p * (base + delta));
-    double lag2 = wrap(nu2 * delta);
-    double cp = path1;
-    double s1 = wrap(wrap(nu1 * base) + xi1);
-    double c2 = wrap(wrap(nu2 * (2.0 * base)) + xi2);
-    double prev = 0.0;
+    double cp = path1, prev = 0.0;
     for (int64_t i = 0; i < n; i++) {
         double gap = emissions[i] - prev;
         prev = emissions[i];

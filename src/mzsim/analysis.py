@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -19,7 +18,7 @@ _MAX_GRAM_COND = 1e5  # scores of worse-conditioned frequencies are re-scored
 _MIN_FIT_POINTS = 8
 _GN_MAX_ITER = 100
 _GN_MAX_HALVINGS = 25
-_Z95 = NormalDist().inv_cdf(0.5 + 0.95 / 2.0)  # two-sided 95% standard normal quantile
+_Z95 = 1.9599639845400536  # two-sided 95% normal quantile, NormalDist().inv_cdf(0.975)
 
 
 def binomial_ci(successes: int, trials: int) -> tuple[float, float]:
@@ -263,9 +262,9 @@ def _scan_frequency(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> tuple[flo
 def fit_sine(deltas: list[float], fractions: list[float]) -> SineFit | None:
     """Fit ``offset + amplitude*sin(w*delta + phase)`` to a sweep's two
     columns by damped Gauss-Newton, or None for a sweep that cannot be
-    fitted: fewer than 8 points (an empty sweep among them), fewer than 2
-    distinct deltas, or a span max - min with no finite frequency grid (see
-    :func:`_frequency_grid`). Columns not 1-D and of one length raise.
+    fitted: fewer than 8 points (an empty sweep among them), or deltas all
+    equal or not all finite, whose span max - min has no finite frequency
+    grid (see :func:`_frequency_grid`). Columns not 1-D and of one length raise.
 
     The frequency is initialised from a discrete scan of candidate
     frequencies (see :func:`_scan_frequency`), then all four parameters are
@@ -281,7 +280,7 @@ def fit_sine(deltas: list[float], fractions: list[float]) -> SineFit | None:
     y = np.asarray(fractions, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"deltas, fractions must be 1-D and of one length, got {x.shape}, {y.shape}")
-    if x.size < _MIN_FIT_POINTS or np.unique(x).size < 2:
+    if x.size < _MIN_FIT_POINTS:
         return None
     x0 = float(x.min())
     grid = _frequency_grid(float(x.max()) - x0)

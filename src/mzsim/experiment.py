@@ -101,16 +101,17 @@ def _build_kernel() -> Path:
     write their own temporary file and move it into place atomically. Once
     the new library is in place the other ``_kernel-*.so`` there, built from
     an earlier source or flags, are removed; a process that has one loaded
-    keeps its mapping.
+    keeps its mapping. A missing, failing or hung compiler is an OSError.
     """
     import hashlib
-    import subprocess
 
     source = _KERNEL_SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
     lib = _KERNEL_SOURCE.with_name("__pycache__") / f"_kernel-{key}.so"
     if lib.exists():
         return lib
+    import subprocess  # only to compile: a cached library loads without it
+
     cc = _compiler()
     if cc is None:
         raise OSError("no C compiler (cc) on PATH")
@@ -122,6 +123,8 @@ def _build_kernel() -> Path:
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp, lib)
+    except subprocess.SubprocessError as exc:  # failed or hung
+        raise OSError(exc) from exc
     finally:
         tmp.unlink(missing_ok=True)
     for stale in lib.parent.glob("_kernel-*.so"):
@@ -135,11 +138,10 @@ def _load_kernel():
     """The compiled ``run_stream`` of ``_kernel.c``, loaded once per process,
     or None (with one warning) when it cannot be built or loaded here."""
     import ctypes
-    import subprocess
 
     try:
         lib = ctypes.CDLL(str(_build_kernel()))
-    except (OSError, subprocess.SubprocessError) as exc:
+    except OSError as exc:
         warnings.warn(
             f"mzsim: cannot build the compiled stream loop ({exc}); "
             "using the much slower Python loop",
@@ -150,32 +152,39 @@ def _load_kernel():
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     flags = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
     run = lib.run_stream
-    run.argtypes = [doubles, doubles, ctypes.c_int64, *[ctypes.c_double] * 11, flags, flags]
+    run.argtypes = [doubles, doubles, ctypes.c_int64, *[ctypes.c_double] * 12, flags, flags]
     run.restype = None
     return run
 
 
 def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
-    """``(nu_p, base, delta, nu1, a1, b1, xi1, nu2, a2, b2, xi2)``: what the
-    stream loop reads of a config, with the splitter offsets wrapped."""
-    bs1, bs2 = config.bs1, config.bs2
+    """``(nu_p, path1, path2, nu1, a1, b1, s1, nu2, a2, b2, c2, lag2)``: what
+    the stream loop reads of a config, its geometry stated once as wrapped
+    phases: the photon's steps along paths 1 and 2, BS1's and BS2's starting
+    phases, and path 2's lag at BS2 (see :func:`_run_stream_py`)."""
+    bs1, bs2, base, delta = config.bs1, config.bs2, config.base_path_length, config.delta
+    nu_p, nu1, nu2 = config.particle_frequency, bs1.frequency, bs2.frequency
     return (
-        config.particle_frequency, config.base_path_length, config.delta,
-        bs1.frequency, bs1.update_alpha, bs1.update_beta, wrap_phase(bs1.initial_offset),
-        bs2.frequency, bs2.update_alpha, bs2.update_beta, wrap_phase(bs2.initial_offset),
+        nu_p, wrap_phase(nu_p * base), wrap_phase(nu_p * (base + delta)),
+        nu1, bs1.update_alpha, bs1.update_beta,
+        wrap_phase(wrap_phase(nu1 * base) + wrap_phase(bs1.initial_offset)),
+        nu2, bs2.update_alpha, bs2.update_beta,
+        wrap_phase(wrap_phase(nu2 * (2.0 * base)) + wrap_phase(bs2.initial_offset)),
+        wrap_phase(nu2 * delta),
     )
 
 
 def _run_stream_py(
     emissions: np.ndarray, offsets: np.ndarray, n: int,
-    nu_p: float, base: float, delta: float,
-    nu1: float, a1: float, b1: float, xi1: float,
-    nu2: float, a2: float, b2: float, xi2: float,
+    nu_p: float, path1: float, path2: float,
+    nu1: float, a1: float, b1: float, s1: float,
+    nu2: float, a2: float, b2: float, c2: float, lag2: float,
     bs1_out: np.ndarray, bs2_out: np.ndarray,
 ) -> None:
     """The stream loop written with :func:`mzsim.optics.interact`: the
     reference the compiled kernel is tested against, and its fallback. It
-    takes the kernel's ``run_stream`` arguments and fills the same arrays.
+    takes the kernel's ``run_stream`` arguments (see :func:`_stream_params`)
+    and fills the same arrays.
 
     Each oscillator's wrapped phase is carried from one photon to the next
     by the gap between their emission times, ``wrap(x + nu*gap)``: the
@@ -185,12 +194,7 @@ def _run_stream_py(
     ``interact``; a reflection keeps the phases it returns, BS2's shifted
     back to the path 1 time.
     """
-    path1, path2 = wrap_phase(nu_p * base), wrap_phase(nu_p * (base + delta))
-    lag2 = wrap_phase(nu2 * delta)
-    cp = path1
-    s1 = wrap_phase(wrap_phase(nu1 * base) + xi1)
-    c2 = wrap_phase(wrap_phase(nu2 * (2.0 * base)) + xi2)
-    prev = 0.0
+    cp, prev = path1, 0.0
     for i, emitted, phi in zip(range(n), emissions.tolist(), offsets.tolist()):
         gap, prev = emitted - prev, emitted
         cp, s1 = wrap_phase(cp + nu_p * gap), wrap_phase(s1 + nu1 * gap)
@@ -204,11 +208,11 @@ def _run_stream_py(
 
 
 def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
-    """Every ``nu*gap`` and ``nu*path`` the stream loop forms must be finite:
-    ``inf % 2pi`` is NaN, and a NaN phase comparison silently transmits
-    every photon. Each gap and each path is at most the last arrival time
-    ``t_max``, so a finite ``nu*t_max`` bounds them all. (An infinite
-    arrival time fails on ``particle_frequency``, which is > 0.)"""
+    """Every ``nu*gap`` the loop forms, and ``nu*path`` the run forms for it
+    (:func:`_stream_params`), must be finite: ``inf % 2pi`` is NaN, and a NaN
+    phase comparison silently transmits every photon. Each gap and each path
+    is at most the last arrival time ``t_max``, so a finite ``nu*t_max``
+    bounds them all. (An infinite ``t_max`` fails on ``particle_frequency`` > 0.)"""
     t_max = last_emission + 2.0 * config.base_path_length + config.delta
     for name, nu in (
         ("particle_frequency", config.particle_frequency),

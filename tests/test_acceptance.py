@@ -17,7 +17,11 @@ import pytest
 from mzsim.analysis import binomial_ci, fit_sine, qm_reference, visibility
 from mzsim.cli import main as cli_main
 from mzsim.config import ExperimentConfig, load_config
-from mzsim.experiment import default_sweep_deltas, run_mzi, run_single_bs, run_sweep
+from mzsim.experiment import (
+    _load_kernel, _run_stream_py, _stream_params, default_sweep_deltas, point_config, run_mzi,
+    run_single_bs, run_sweep,
+)
+from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -247,4 +251,70 @@ def test_criterion_9_fringe_needs_random_phases():
         f"and 1e6 photons with exponential and fixed gaps: BS1 reflects "
         f"{np.count_nonzero(bs1)}/{bs1.size} photons; phase and gaps fixed: {len(flat)} "
         f"distinct (d1, d2) over {len(deltas)} points (1 required)",
+    )
+
+
+def test_criterion_10_fringe_without_randomness():
+    """The fringe needs no random number: with fixed gaps, initial phases
+    spread evenly over consecutive photons make one, and slowly varying
+    ones do not.
+
+    Each sweep point runs the stream loop that run_mzi picks on the point's
+    fixed-gap stream, drawn as run_mzi draws it from the point's child seed,
+    with initial phases from a formula: Kronecker, i*(sqrt(2) - 1) mod 1
+    turns for photon i, or a ramp, i/n turns. Neither draws a random number,
+    so two master seeds give equal fractions. Random phases, drawn after the
+    gaps as run_mzi draws them, are the comparison.
+    """
+    # 48 points over two periods, 2e4 photons per point, the reference
+    # splitters. Kronecker phases read visibility 0.5914, 0.6112 and 0.6126
+    # at 2e3, 2e4 and 1e5 photons, with R^2 0.962-0.964; with both
+    # splitters' alpha at 0.9 they read 0.445-0.448. The ramp read 0.0006-
+    # 0.0243 over those counts, and at most 0.028 with alpha at 0.9 or 0.99.
+    # Random phases read 0.515-0.538 over seeds 1-20. So the bound 0.45 sits
+    # 0.16 below Kronecker's reading and R^2 0.9 0.06 below its fit's, and
+    # the ramp's bound 0.05 is twice its highest reading. The contrast
+    # depends on the setup: at source rate 5 (gap 0.2) Kronecker phases
+    # read 0.12, at rate 50 0.47, and with base_path_length 2.5 0.83.
+    base = replace(REFERENCE, photon_count=20_000, inter_arrival_law="fixed")
+    deltas = default_sweep_deltas(base, steps=48)
+    n = base.photon_count
+    loop = _load_kernel() or _run_stream_py
+
+    def sweep(phases, seed):
+        fractions = []
+        for delta in deltas:
+            config = point_config(replace(base, master_seed=seed), delta)
+            rng = np.random.default_rng(config.master_seed)
+            emissions = generate_emissions(config.source_rate, n, rng, law="fixed")
+            bs1, bs2 = np.empty(n, np.int8), np.empty(n, np.int8)
+            loop(emissions, phases(rng), n, *_stream_params(config), bs1, bs2)
+            fractions.append(np.count_nonzero(bs2) / n)
+        return fractions
+
+    def kronecker(rng):
+        return np.arange(n) * (math.sqrt(2.0) - 1.0) % 1.0 * TWO_PI
+
+    def ramp(rng):
+        return np.arange(n) / n * TWO_PI
+
+    def drawn(rng):
+        return rng.random(n) * TWO_PI
+
+    kron, ramps, rand = ([sweep(phases, s) for s in (1, 2)] for phases in (kronecker, ramp, drawn))
+    fit = fit_sine(deltas, kron[0])
+    kron_vis, ramp_vis = visibility(kron[0]), visibility(ramps[0])
+    rand_vis = [visibility(f) for f in rand]
+    by_run = [d1 / (d1 + d2) for d1, d2 in run_sweep(replace(base, master_seed=1), deltas)]
+    _report(
+        "10 fringe without randomness",
+        kron_vis >= 0.45 and fit.r_squared >= 0.9 and ramp_vis <= 0.05
+        and kron[0] == kron[1] and ramps[0] == ramps[1] and rand[0] != rand[1]
+        and kron_vis > max(rand_vis) and rand[0] == by_run,
+        f"fixed gaps, visibility with Kronecker phases {kron_vis:.4f} (>= 0.45), R^2 "
+        f"{fit.r_squared:.4f} (>= 0.9); with a ramp {ramp_vis:.4f} (<= 0.05); with random "
+        f"phases {min(rand_vis):.4f}-{max(rand_vis):.4f} (below Kronecker's); equal fractions "
+        f"at seeds 1 and 2: Kronecker {kron[0] == kron[1]}, ramp {ramps[0] == ramps[1]}, "
+        f"random {rand[0] == rand[1]} (True, True, False); random phases give run_sweep's "
+        f"fractions: {rand[0] == by_run}",
     )

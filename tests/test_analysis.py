@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzsim.analysis import (
+    _Z95,
     _frequency_grid,
     _scan_frequency,
     binomial_ci,
@@ -60,6 +61,10 @@ def test_ci_rejects_bad_arguments():
         binomial_ci(5, 4)
     with pytest.raises(ValueError):
         binomial_ci(-1, 4)
+
+
+def test_z95_is_the_quantile_bit_for_bit():
+    assert _Z95 == NormalDist().inv_cdf(0.5 + 0.95 / 2.0)
 
 
 @pytest.mark.parametrize("confidence", [0.95])
@@ -184,6 +189,12 @@ def test_fit_rejects_too_few_points():
 
 def test_fit_rejects_degenerate_deltas():
     assert fit_sine([1.0] * 10, [0.1] * 10) is None
+    # all equal as numbers, with zeros of both signs: a span of 0
+    assert fit_sine([-0.0, 0.0] * 5, [0.1] * 10) is None
+    # a delta not finite makes the span NaN or infinite
+    for bad in (math.nan, math.inf, -math.inf):
+        for deltas in ([bad] * 10, [*range(9), bad], [bad, *range(9)]):
+            assert fit_sine(deltas, [0.1] * 10) is None
 
 
 def test_fit_fields_are_python_floats():

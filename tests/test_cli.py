@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from mzsim import cli
+from mzsim import cli, experiment
 from mzsim.analysis import binomial_ci
 from mzsim.cli import main
 from mzsim.output import write_csv
+from test_kernel import needs_cc
 from test_output import LARGE_COUNT_ROWS
 
 
@@ -32,6 +33,30 @@ def test_importing_the_cli_leaves_out_the_process_pool_and_subprocess():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@needs_cc
+def test_a_sweep_and_its_analysis_leave_out_numpy_ma_statistics_and_subprocess(tmp_path):
+    # With the kernel cached, loading it needs no subprocess; the fit needs
+    # no numpy.ma (which np.unique imports) and the confidence interval no
+    # statistics (with its fractions and decimal).
+    experiment._build_kernel()
+    script = (
+        "import sys\n"
+        "from mzsim.cli import main\n"
+        "from mzsim.experiment import _load_kernel\n"
+        "assert main(['sweep', '--steps', '9', '--photons', '1000', '--out', 'sweep.csv']) == 0\n"
+        "assert main(['analyze', 'sweep.csv']) == 0\n"
+        "assert _load_kernel() is not None\n"
+        "print([m for m in ('numpy.ma', 'statistics', 'subprocess') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_single_bs_is_deterministic(tmp_path, capsys):
