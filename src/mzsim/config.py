@@ -131,7 +131,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             sub_known = {f.name for f in fields(SplitterConfig)}
             for key in sub:
                 if key not in sub_known:
-                    raise ConfigError(f"unknown config key {side}.{_brief(key)}")
+                    raise ConfigError(f"unknown config key {side}.{_brief(repr(key))}")
             kwargs[side] = SplitterConfig(**sub)
     return ExperimentConfig(**kwargs)
 

@@ -12,6 +12,7 @@ safe to evaluate in parallel.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
@@ -56,15 +57,15 @@ def _delta_bits(delta: float) -> int:
 # single-bs runs.
 Run = tuple[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
-# The arrays a run fills, one entry per photon: emission times and initial
-# phases (float64), then the BS1 and BS2 outcomes (int8).
-Buffers = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# The arrays a run fills, one entry per photon: the emission times
+# (float64), then the BS1 and BS2 outcomes (int8).
+Buffers = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def photon_buffers(n: int) -> Buffers:
-    """Fresh, unfilled ``(emissions, offsets, bs1, bs2)`` for runs of ``n``
-    photons."""
-    return np.empty(n), np.empty(n), np.empty(n, np.int8), np.empty(n, np.int8)
+    """Fresh, unfilled ``(emissions, bs1, bs2)`` for runs of ``n`` photons:
+    10 bytes per photon."""
+    return np.empty(n), np.empty(n, np.int8), np.empty(n, np.int8)
 
 
 def _check_buffers(buffers: Buffers, n: int) -> None:
@@ -72,7 +73,7 @@ def _check_buffers(buffers: Buffers, n: int) -> None:
     refuse a buffer set that does not hold them. The emissions buffer is
     left to :func:`~mzsim.optics.generate_emissions`, which checks its
     ``out`` before drawing into it."""
-    names = ("offsets", "bs1", "bs2")
+    names = ("bs1", "bs2")
     for name, buf, like in zip(names, buffers[1:], photon_buffers(0)[1:], strict=True):
         if buf.dtype != like.dtype or buf.shape != (n,) or not buf.flags.c_contiguous:
             raise ValueError(
@@ -137,8 +138,6 @@ def _build_kernel() -> Path:
 def _load_kernel():
     """The compiled ``run_stream`` of ``_kernel.c``, loaded once per process,
     or None (with one warning) when it cannot be built or loaded here."""
-    import ctypes
-
     try:
         lib = ctypes.CDLL(str(_build_kernel()))
     except OSError as exc:
@@ -149,12 +148,27 @@ def _load_kernel():
             stacklevel=2,
         )
         return None
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    times = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     flags = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
     run = lib.run_stream
-    run.argtypes = [doubles, doubles, ctypes.c_int64, *[ctypes.c_double] * 12, flags, flags]
+    run.argtypes = [times, ctypes.c_int64, ctypes.c_void_p, *[ctypes.c_double] * 13, flags, flags]
     run.restype = None
     return run
+
+
+class _Bitgen(ctypes.Structure):
+    """numpy's ``bitgen_t`` (``numpy/random/bitgen.h``), as ``_kernel.c``
+    declares it: ``Generator.bit_generator.ctypes.bit_generator`` is the
+    address of one, and its ``next_double(state)`` is the draw of
+    ``Generator.random``."""
+
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", ctypes.c_void_p),
+        ("next_uint32", ctypes.c_void_p),
+        ("next_double", ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)),
+        ("next_raw", ctypes.c_void_p),
+    ]
 
 
 def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
@@ -175,7 +189,7 @@ def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
 
 
 def _run_stream_py(
-    emissions: np.ndarray, offsets: np.ndarray, n: int,
+    times: np.ndarray, n: int, bitgen: int | ctypes.c_void_p | None, phase: float,
     nu_p: float, path1: float, path2: float,
     nu1: float, a1: float, b1: float, s1: float,
     nu2: float, a2: float, b2: float, c2: float, lag2: float,
@@ -186,7 +200,10 @@ def _run_stream_py(
     takes the kernel's ``run_stream`` arguments (see :func:`_stream_params`)
     and fills the same arrays.
 
-    Each oscillator's wrapped phase is carried from one photon to the next
+    On entry ``times`` holds the emission gaps; each is summed in turn into
+    the emission time, in place. Photon ``i``'s initial phase is the next
+    ``next_double`` of the ``bitgen_t`` at address ``bitgen``, times
+    ``TWO_PI``, or ``phase`` if ``bitgen`` is None. Each oscillator's wrapped phase is carried from one photon to the next
     by the gap between their emission times, ``wrap(x + nu*gap)``: the
     source's ``cp`` and BS1's ``s1`` as the photon meets BS1, and BS2's
     ``c2`` as it would meet BS2 by path 1 (path 2 meets it ``lag2`` later).
@@ -194,17 +211,27 @@ def _run_stream_py(
     ``interact``; a reflection keeps the phases it returns, BS2's shifted
     back to the path 1 time.
     """
+    if bitgen is not None:
+        source = ctypes.cast(bitgen, ctypes.POINTER(_Bitgen)).contents
+        next_double, state = source.next_double, source.state
     cp, prev = path1, 0.0
-    for i, emitted, phi in zip(range(n), emissions.tolist(), offsets.tolist()):
-        gap, prev = emitted - prev, emitted
-        cp, s1 = wrap_phase(cp + nu_p * gap), wrap_phase(s1 + nu1 * gap)
-        c2 = wrap_phase(c2 + nu2 * gap)
-        first, p, s1 = interact(wrap_phase(cp + wrap_phase(phi)), s1, a1, b1)
-        p2 = wrap_phase(p + (path1 if first else path2))
-        second, _, s = interact(p2, c2 if first else wrap_phase(c2 + lag2), a2, b2)
-        if second:
-            c2 = s if first else wrap_phase(s - lag2)
-        bs1_out[i], bs2_out[i] = first, second
+    try:
+        for i in range(n):
+            emitted = prev + times.item(i)
+            gap, prev = emitted - prev, emitted
+            times[i] = emitted
+            phi = phase if bitgen is None else next_double(state) * TWO_PI
+            cp, s1 = wrap_phase(cp + nu_p * gap), wrap_phase(s1 + nu1 * gap)
+            c2 = wrap_phase(c2 + nu2 * gap)
+            first, p, s1 = interact(wrap_phase(cp + wrap_phase(phi)), s1, a1, b1)
+            p2 = wrap_phase(p + (path1 if first else path2))
+            second, _, s = interact(p2, c2 if first else wrap_phase(c2 + lag2), a2, b2)
+            if second:
+                c2 = s if first else wrap_phase(s - lag2)
+            bs1_out[i], bs2_out[i] = first, second
+    except ValueError:  # a non-finite phase: the run refuses it once the times are summed
+        for i in range(i + 1, n):
+            prev = times[i] = prev + times.item(i)
 
 
 def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
@@ -212,7 +239,9 @@ def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
     (:func:`_stream_params`), must be finite: ``inf % 2pi`` is NaN, and a NaN
     phase comparison silently transmits every photon. Each gap and each path
     is at most the last arrival time ``t_max``, so a finite ``nu*t_max``
-    bounds them all. (An infinite ``t_max`` fails on ``particle_frequency`` > 0.)"""
+    bounds them all. (An infinite ``t_max`` fails on ``particle_frequency`` > 0.)
+    The run checks this after the loop, whose sum gives the last emission
+    time; where it fails, the outcomes the loop filled are discarded."""
     t_max = last_emission + 2.0 * config.base_path_length + config.delta
     for name, nu in (
         ("particle_frequency", config.particle_frequency),
@@ -248,30 +277,31 @@ def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
     Returns the counts and ``(emissions, bs1, bs2)``: each photon's emission
     time and its BS1 and BS2 outcomes (1 = reflected).
 
-    One generator seeded with ``master_seed`` draws all the emission gaps,
-    then all the initial phases: uniform on [0, 2*pi), or the configured
-    ``particle_initial_phase``, unwrapped like a drawn one (the loop wraps
-    both). ``buffers``, from :func:`photon_buffers` for
-    ``config.photon_count``, are filled in place and returned; the loop only
-    reads ``buffers[0]`` and ``buffers[1]``, so they keep the drawn times
-    and phases until the next run through them. Without ``buffers`` the run
-    allocates its own. The loop is the compiled kernel (``_kernel.c``) or,
-    where that cannot be built, :func:`_run_stream_py`, with a warning.
+    One generator seeded with ``master_seed`` draws all the emission gaps
+    into ``emissions``, then, in the loop, each photon's initial phase in
+    turn: uniform on [0, 2*pi), the bits of ``rng.uniform(0.0, TWO_PI)``,
+    or the configured ``particle_initial_phase``, unwrapped like a drawn one
+    (the loop wraps both). The loop sums the gaps into the emission times
+    in place, so a run holds 10 bytes per photon: ``buffers``, from
+    :func:`photon_buffers` for ``config.photon_count``, filled in place and
+    returned, or its own. The loop is the compiled kernel (``_kernel.c``)
+    or, where that cannot be built, :func:`_run_stream_py`, with a warning.
     """
     n = config.photon_count
     buffers = photon_buffers(n) if buffers is None else buffers
-    emissions, offsets, bs1, bs2 = buffers
+    emissions, bs1, bs2 = buffers
     _check_buffers(buffers, n)
     rng = np.random.default_rng(config.master_seed)
     generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law, out=emissions)
-    _check_phase_range(config, float(emissions[-1]))
-    if config.particle_initial_phase is None:
-        rng.random(out=offsets)
-        offsets *= TWO_PI  # the bits of rng.uniform(0.0, TWO_PI, n)
-    else:
-        offsets.fill(config.particle_initial_phase)
+    phase = config.particle_initial_phase
+    bitgen = rng.bit_generator.ctypes.bit_generator if phase is None else None
+    try:
+        params = _stream_params(config)
+    except ValueError:  # some nu*path overflows, which the check below refuses
+        params = (math.nan,) * 12
     loop = _load_kernel() or _run_stream_py
-    loop(emissions, offsets, n, *_stream_params(config), bs1, bs2)
+    loop(emissions, n, bitgen, 0.0 if phase is None else phase, *params, bs1, bs2)
+    _check_phase_range(config, float(emissions[-1]))
     d1 = int(np.count_nonzero(bs2))
     return (d1, n - d1), (emissions, bs1, bs2)
 

@@ -25,14 +25,15 @@ def generate_emissions(
     law: str = "exponential",
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Emission times for ``n`` photons from a source of the given mean rate.
+    """Emission gaps for ``n`` photons from a source of the given mean rate.
 
-    Gaps between consecutive emissions are i.i.d. draws with mean ``1/rate``:
-    exponential by default, or ``uniform`` on [0, 2/rate], or ``fixed`` at
-    exactly 1/rate. The returned float64 array (the cumulative sum of the
-    gaps) is strictly increasing and fully determined by ``rng``'s state.
-    Given ``out``, a C-contiguous float64 array of length ``n``, the times
-    are written there and ``out`` is returned; the bytes and ``rng``'s end
+    Gaps between consecutive emissions (the first from time 0) are i.i.d.
+    draws with mean ``1/rate``: exponential by default, or ``uniform`` on
+    [0, 2/rate], or ``fixed`` at exactly 1/rate. The returned float64 array
+    is fully determined by ``rng``'s state; the stream loop sums it into the
+    emission times in place (see :func:`mzsim.experiment.run_mzi`). Given
+    ``out``, a C-contiguous float64 array of length ``n``, the gaps are
+    written there and ``out`` is returned; the bytes and ``rng``'s end
     state are the same as without it.
     """
     if not (math.isfinite(rate) and rate > 0.0):
@@ -54,13 +55,13 @@ def generate_emissions(
         rng.random(out=out)
         scale = 2.0 / rate
     elif law == "fixed":
-        out.fill(1.0)
-        scale = 1.0 / rate
+        out.fill(1.0 / rate)
+        return out
     else:
         raise ValueError(f"unknown inter-arrival law {law!r}")
-    with np.errstate(over="ignore"):  # a time past the double range is inf; runs refuse it
+    with np.errstate(over="ignore"):  # a gap past the double range is inf; runs refuse it
         out *= scale
-        return np.cumsum(out, out=out)
+    return out
 
 
 def interact(p: float, s: float, alpha: float, beta: float) -> tuple[bool, float, float]:

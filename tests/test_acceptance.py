@@ -18,11 +18,11 @@ from mzsim.analysis import binomial_ci, fit_sine, qm_reference, visibility
 from mzsim.cli import main as cli_main
 from mzsim.config import ExperimentConfig, load_config
 from mzsim.experiment import (
-    _load_kernel, _run_stream_py, _stream_params, default_sweep_deltas, point_config, run_mzi,
-    run_single_bs, run_sweep,
+    _load_kernel, _run_stream_py, default_sweep_deltas, point_config, run_mzi, run_single_bs,
+    run_sweep,
 )
-from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI
+from test_kernel import stream_outcomes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ExperimentConfig()
@@ -281,27 +281,17 @@ def test_criterion_10_fringe_without_randomness():
     n = base.photon_count
     loop = _load_kernel() or _run_stream_py
 
-    def sweep(phases, seed):
+    def sweep(turns, seed):
+        """Fractions with initial phases ``turns * TWO_PI``, or drawn ones."""
         fractions = []
         for delta in deltas:
             config = point_config(replace(base, master_seed=seed), delta)
-            rng = np.random.default_rng(config.master_seed)
-            emissions = generate_emissions(config.source_rate, n, rng, law="fixed")
-            bs1, bs2 = np.empty(n, np.int8), np.empty(n, np.int8)
-            loop(emissions, phases(rng), n, *_stream_params(config), bs1, bs2)
-            fractions.append(np.count_nonzero(bs2) / n)
+            fractions.append(np.count_nonzero(stream_outcomes(loop, config, turns)[1]) / n)
         return fractions
 
-    def kronecker(rng):
-        return np.arange(n) * (math.sqrt(2.0) - 1.0) % 1.0 * TWO_PI
-
-    def ramp(rng):
-        return np.arange(n) / n * TWO_PI
-
-    def drawn(rng):
-        return rng.random(n) * TWO_PI
-
-    kron, ramps, rand = ([sweep(phases, s) for s in (1, 2)] for phases in (kronecker, ramp, drawn))
+    kronecker = np.arange(n) * (math.sqrt(2.0) - 1.0) % 1.0
+    ramp = np.arange(n) / n
+    kron, ramps, rand = ([sweep(turns, s) for s in (1, 2)] for turns in (kronecker, ramp, None))
     fit = fit_sine(deltas, kron[0])
     kron_vis, ramp_vis = visibility(kron[0]), visibility(ramps[0])
     rand_vis = [visibility(f) for f in rand]

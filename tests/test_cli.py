@@ -417,9 +417,12 @@ def test_wrong_json_type_in_config_is_a_single_line_error(tmp_path, capsys):
     "patch, reason",
     [({"inter_arrival_law": "x" * 100_000}, "inter_arrival_law must be one of"),
      ({"x" * 100_000: 1}, "unknown config key 'xxxxxxxxxxxxxxx... (100002 characters)"),
-     ({"bs1": {"x" * 100_000: 1}}, "unknown config key bs1.xxxxxxxxxxxxxxxx... (100000 characters)"),
+     ({"bs1": {"x" * 100_000: 1}}, "unknown config key bs1.'xxxxxxxxxxxxxxx... (100002 characters)"),
+     ({"a\nb": 1}, "unknown config key 'a\\nb'"),
+     ({"bs1": {"a\nb": 1}}, "unknown config key bs1.'a\\nb'"),
      ({"photon_count": "1" * 100_000}, "photon_count must be an integer >= 1, got '111")],
-    ids=["long-law", "long-key", "long-bs1-key", "long-string-photon-count"],
+    ids=["long-law", "long-key", "long-bs1-key", "newline-key", "bs1-newline-key",
+         "long-string-photon-count"],
 )
 def test_long_config_value_is_a_single_line_error(tmp_path, capsys, patch, reason):
     path = tmp_path / "cfg.json"

@@ -51,7 +51,7 @@ def test_unknown_key_is_rejected():
 
 
 def test_unknown_nested_key_is_rejected():
-    with pytest.raises(ConfigError, match="bs1.nope"):
+    with pytest.raises(ConfigError, match=r"unknown config key bs1\.'nope'$"):
         config_from_dict({"bs1": {"nope": 2}})
 
 

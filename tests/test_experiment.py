@@ -1,4 +1,7 @@
+import ctypes
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,9 +25,9 @@ from mzsim.experiment import (
     _run_stream_py,
     _stream_params,
 )
-from mzsim.optics import generate_emissions
+from mzsim.optics import INTER_ARRIVAL_LAWS, generate_emissions
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
-from test_kernel import CC, assert_same_run, drawn_stream, needs_cc, stream_outcomes
+from test_kernel import CC, assert_same_run, listed_bitgen, needs_cc, stream_outcomes
 
 
 def small_config(**overrides):
@@ -99,13 +102,19 @@ def test_mzi_trace_periodic_in_delta():
 
 
 def test_random_initial_offsets_are_uniform_draws():
-    # drawn as rng.random scaled in place after the gaps; the bits must be
-    # those of rng.uniform after rng.exponential from the master seed
+    # drawn in the loop as next_double * TWO_PI after the gaps; the bits
+    # must be those of rng.uniform after rng.exponential from the master
+    # seed, given to the reference loop as turns of the circle
     cfg = small_config()
-    reference = np.random.default_rng(cfg.master_seed)
-    reference.exponential(1.0 / cfg.source_rate, cfg.photon_count)
-    _, offsets = drawn_stream(cfg)
-    assert offsets.tobytes() == reference.uniform(0.0, TWO_PI, cfg.photon_count).tobytes()
+    n = cfg.photon_count
+    reference, again = (np.random.default_rng(cfg.master_seed) for _ in range(2))
+    for rng in (reference, again):
+        rng.exponential(1.0 / cfg.source_rate, n)
+    turns = reference.random(n)
+    assert (turns * TWO_PI).tobytes() == again.uniform(0.0, TWO_PI, n).tobytes()
+    _, (_, bs1, bs2) = run_mzi(cfg)
+    for got, want in zip((bs1, bs2), stream_outcomes(_run_stream_py, cfg, turns), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.fixture(params=["kernel", "python"])
@@ -121,19 +130,90 @@ def loop(request, monkeypatch):
 
 @pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
 @pytest.mark.parametrize("phase", [None, 7.0, -2.0])
-def test_run_leaves_its_draw_in_the_first_two_buffers(loop, law, phase):
-    """After a run, buffers[0] and buffers[1] hold what it drew from a
-    generator seeded with the master seed: all the gaps, then all the
-    phases, or the configured phase as is. The loop only reads them."""
-    cfg = small_config(inter_arrival_law=law, particle_initial_phase=phase, delta=1.3)
-    n = cfg.photon_count
-    buffers = photon_buffers(n)
-    run_mzi(cfg, buffers)
-    rng = np.random.default_rng(cfg.master_seed)
-    emissions = generate_emissions(cfg.source_rate, n, rng, law=law)
-    offsets = rng.uniform(0.0, TWO_PI, n) if phase is None else np.full(n, phase)
-    assert buffers[0].tobytes() == emissions.tobytes()
-    assert buffers[1].tobytes() == offsets.tobytes()
+def test_run_sums_its_gaps_and_then_draws_its_phases(loop, law, phase, monkeypatch):
+    """A run draws all the gaps from a generator seeded with the master
+    seed, then one phase per photon (none for a configured phase). After
+    it, buffers[0] holds the cumulative sum of those gaps, and the run's
+    generator is where n gaps and then n phases leave a fresh one. The
+    counts are the edges of the kernel's blocks of 512 phases."""
+    default_rng, generators = np.random.default_rng, []
+
+    def recorded_rng(seed):
+        generators.append(default_rng(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+    for n in (1, 511, 512, 513, 2000):
+        cfg = small_config(photon_count=n, inter_arrival_law=law, particle_initial_phase=phase,
+                           delta=1.3)
+        buffers = photon_buffers(n)
+        run_mzi(cfg, buffers)
+        reference = default_rng(cfg.master_seed)
+        gaps = generate_emissions(cfg.source_rate, n, reference, law=law)
+        assert buffers[0].tobytes() == np.cumsum(gaps).tobytes()
+        if phase is None:
+            reference.random(n)
+        assert generators[-1].bit_generator.state == reference.bit_generator.state
+
+
+def test_run_times_are_strictly_increasing(loop):
+    _, (times, _, _) = run_mzi(small_config(photon_count=5000, source_rate=3.0, master_seed=11))
+    assert (np.diff(times) > 0.0).all() and times[0] > 0.0
+
+
+@pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
+def test_run_times_are_the_cumulative_sum_of_the_gaps(loop, law):
+    # the loop sums the gaps in place; the bits must be np.cumsum's
+    rate, n = 3.0, 10_000
+    rng = np.random.default_rng(19)
+    draws = {
+        "exponential": lambda: rng.exponential(1.0 / rate, n),
+        "uniform": lambda: rng.uniform(0.0, 2.0 / rate, n),
+        "fixed": lambda: np.full(n, 1.0 / rate),
+    }
+    expected = np.cumsum(draws[law]())
+    cfg = small_config(photon_count=n, source_rate=rate, inter_arrival_law=law, master_seed=19)
+    _, (times, _, _) = run_mzi(cfg)
+    assert times.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
+@pytest.mark.parametrize("rate", [1e-308, 1e-307])  # a gap, or only the sum, overflows
+def test_run_time_overflow_is_inf_without_a_warning(loop, law, rate):
+    # the run refuses an infinite time with one error line; a numpy warning
+    # printed before it would break that line
+    cfg = small_config(photon_count=100, source_rate=rate, inter_arrival_law=law, master_seed=0)
+    buffers = photon_buffers(cfg.photon_count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="last arrival time inf overflows"):
+            run_mzi(cfg, buffers)
+    assert buffers[0][-1] == math.inf
+
+
+def test_run_refuses_a_path_phase_that_overflows(loop):
+    # nu*base_path_length is inf before any photon runs; the run still sums
+    # the times and refuses it with the one message, on the last time
+    cfg = small_config(photon_count=100, base_path_length=1e308, particle_frequency=10.0)
+    with pytest.raises(ConfigError, match="^particle_frequency 10.0 times the last arrival "
+                                          "time inf overflows$"):
+        run_mzi(cfg)
+
+
+@needs_cc
+def test_run_memory_is_10_bytes_per_photon():
+    # the emission times and the two outcome arrays, and a fixed slack: the
+    # peak read 2,006,288 bytes (10.03 per photon). A run that also held its
+    # phases and the times beside the gaps read 3,606,299 (18.03 per photon).
+    cfg = replace(ExperimentConfig(), photon_count=200_000, delta=1.3)
+    run_mzi(cfg)  # the kernel is loaded once per process
+    tracemalloc.start()
+    try:
+        run_mzi(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * cfg.photon_count + 64 * 1024
 
 
 @pytest.mark.parametrize("phase", [7.0, TWO_PI - 1e-13, 6 * math.pi + 0.5, 1e6])
@@ -229,7 +309,7 @@ def test_stream_loop_matches_reference_where_each_phase_step_passes_4_pi(config)
     """The kernel's wrap takes no quotient for -TWO_PI < x < 2*TWO_PI and
     calls fmod otherwise; at these frequencies every nu*gap step by which a
     phase is carried is past 4*pi, so every step takes the fmod path."""
-    emissions, _ = drawn_stream(config)
+    _, (emissions, _, _) = run_mzi(config)
     gaps = np.diff(emissions, prepend=0.0)
     slowest = min(config.particle_frequency, config.bs1.frequency, config.bs2.frequency)
     assert slowest * gaps.min() > 2 * TWO_PI
@@ -254,6 +334,9 @@ def test_phase_fixed_at_bs1_offset_reflects_every_photon_at_any_time(loop, law):
 # TWO_PI - WRAP_SNAP itself is excluded: TWO_PI minus it is not below
 # WRAP_SNAP, so it is the first value that does not snap.
 below_two_pi = st.floats(TWO_PI - WRAP_SNAP, TWO_PI, exclude_min=True, exclude_max=True)
+# Draws u whose phase u * TWO_PI lies in that interval: 1 - k * 2**-53 is
+# the k-th double below 1, and k * 2**-53 * TWO_PI < WRAP_SNAP up to k = 1433.
+turns_below_one = st.integers(1, 1400).map(lambda k: 1.0 - k * 2.0**-53)
 
 
 @needs_cc
@@ -261,25 +344,30 @@ below_two_pi = st.floats(TWO_PI - WRAP_SNAP, TWO_PI, exclude_min=True, exclude_m
 @settings(max_examples=30, deadline=None)
 @given(config=configs, data=st.data())
 def test_stream_loops_snap_initial_phases_just_below_two_pi(configured, config, data):
-    """Each loop wraps the initial phases it reads, so raw phases in
+    """Each loop wraps the initial phases it draws or is given, so phases in
     (TWO_PI - WRAP_SNAP, TWO_PI) give the outcomes of the same phases
     snapped to 0.0 beforehand, as wrap_phase snaps them."""
     if configured:
-        config = replace(config, particle_initial_phase=data.draw(below_two_pi))
-        raw = np.full(config.photon_count, config.particle_initial_phase)
+        raw = (replace(config, particle_initial_phase=data.draw(below_two_pi)), None)
+        snapped = (replace(config, particle_initial_phase=0.0), None)
     else:
-        raw = drawn_stream(config)[1]
+        rng = np.random.default_rng(config.master_seed)
+        generate_emissions(config.source_rate, config.photon_count, rng,
+                           law=config.inter_arrival_law)
+        turns = rng.random(config.photon_count)  # the drawn phases, in turns
         picks = data.draw(st.lists(
-            st.tuples(st.integers(0, raw.size - 1), below_two_pi), max_size=10))
-        for i, phase in [(0, np.nextafter(TWO_PI, 0.0)), *picks]:
-            raw[i] = phase
-    snapped = np.array([wrap_phase(x) for x in raw.tolist()])
-    assert (snapped == 0.0).any() or configured
+            st.tuples(st.integers(0, turns.size - 1), turns_below_one), max_size=10))
+        for i, turn in [(0, 1.0 - 2.0**-53), *picks]:
+            assert TWO_PI - WRAP_SNAP < turn * TWO_PI < TWO_PI
+            turns[i] = turn
+        raw = (config, turns)
+        snapped = (config, np.array([0.0 if wrap_phase(u * TWO_PI) == 0.0 else u for u in turns.tolist()]))
+        assert (snapped[1] == 0.0).any()
     kernel = _load_kernel()
-    expected = stream_outcomes(kernel, config, snapped)
+    expected = stream_outcomes(kernel, *snapped)
     for loop in (kernel, _run_stream_py):
-        for offsets in (raw, snapped):
-            for got, want in zip(stream_outcomes(loop, config, offsets), expected):
+        for stream in (raw, snapped):
+            for got, want in zip(stream_outcomes(loop, *stream), expected):
                 np.testing.assert_array_equal(got, want)
 
 
@@ -294,14 +382,13 @@ def test_runs_through_one_buffer_set_equal_fresh_runs(first, second):
         fresh = run_mzi(config)
         reused = run_mzi(config, buffers)
         assert_same_run(reused, fresh)
-        emissions, _, bs1, bs2 = buffers
-        assert all(got is buf for got, buf in zip(reused[1], (emissions, bs1, bs2), strict=True))
+        assert all(got is buf for got, buf in zip(reused[1], buffers, strict=True))
 
 
 @pytest.mark.parametrize("buffer, bad", [
-    (0, np.empty(99)), (1, np.empty(100, np.float32)), (2, np.empty(101, np.int8)),
-    (3, np.empty(100)), (3, np.empty(200, np.int8)[::2]),
-], ids=["emissions-short", "offsets-float32", "bs1-long", "bs2-float64", "bs2-strided"])
+    (0, np.empty(99)), (0, np.empty(100, np.float32)), (1, np.empty(101, np.int8)),
+    (2, np.empty(100)), (2, np.empty(200, np.int8)[::2]),
+], ids=["emissions-short", "emissions-float32", "bs1-long", "bs2-float64", "bs2-strided"])
 def test_run_refuses_buffers_that_do_not_fit(buffer, bad):
     buffers = list(photon_buffers(100))
     buffers[buffer] = bad
@@ -310,15 +397,19 @@ def test_run_refuses_buffers_that_do_not_fit(buffer, bad):
 
 
 def test_reversed_stream_changes_splitter_memory():
-    # same photon set, opposite processing order: the states the splitters
-    # accumulate differ, so later outcomes differ
+    # same gaps and initial phases, opposite processing order: the states
+    # the splitters accumulate differ, so later outcomes differ
     cfg = small_config(photon_count=3000, delta=1.7)
-    forward = photon_buffers(cfg.photon_count)
-    run_mzi(cfg, forward)
-    emissions, offsets, bs1, bs2 = backward = tuple(a[::-1].copy() for a in forward)
+    n = cfg.photon_count
+    rng = np.random.default_rng(cfg.master_seed)
+    gaps = generate_emissions(cfg.source_rate, n, rng, law=cfg.inter_arrival_law)
+    turns = rng.random(n)
     loop = _load_kernel() or _run_stream_py
-    loop(emissions, offsets, cfg.photon_count, *_stream_params(cfg), bs1, bs2)
-    assert not all(np.array_equal(f, b[::-1]) for f, b in zip(forward[2:], backward[2:]))
+    forward, backward = ([np.empty(n, np.int8), np.empty(n, np.int8)] for _ in range(2))
+    for order, (bs1, bs2) in ((slice(None), forward), (slice(None, None, -1), backward)):
+        source = listed_bitgen(turns[order])
+        loop(gaps[order].copy(), n, ctypes.addressof(source), 0.0, *_stream_params(cfg), bs1, bs2)
+    assert not all(np.array_equal(f, b[::-1]) for f, b in zip(forward, backward))
 
 
 # ---------------------------------------------------------------------------

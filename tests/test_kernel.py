@@ -3,7 +3,8 @@
 That it fills the same outcome arrays as the ``interact``-based reference
 loop, which takes the same arguments, is checked photon for photon by
 ``test_experiment.test_stream_loop_matches_interact_reference``; here its
-phase reduction ``wrap`` is checked against ``phases.wrap_phase`` directly.
+phase reduction ``wrap`` is checked against ``phases.wrap_phase`` directly,
+and the ``bitgen_t`` layout both loops draw through against numpy's.
 """
 
 import ast
@@ -23,9 +24,8 @@ import pytest
 
 from mzsim import experiment
 from mzsim.config import ExperimentConfig
-from mzsim.experiment import (
-    _load_kernel, _stream_params, photon_buffers, run_mzi, run_single_bs,
-)
+from mzsim.experiment import _Bitgen, _load_kernel, _stream_params, run_mzi, run_single_bs
+from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 
 CC = shutil.which("cc")
@@ -196,26 +196,52 @@ def assert_same_run(a, b):
         np.testing.assert_array_equal(x, y, strict=True)
 
 
-def drawn_stream(config):
-    """``(emissions, offsets)``: the emission times and initial phases
-    ``run_mzi`` draws for ``config``, read from its buffer set after the
-    run, which the loop only reads."""
-    buffers = photon_buffers(config.photon_count)
-    run_mzi(config, buffers)
-    return buffers[0], buffers[1]
+def listed_bitgen(turns):
+    """A ``bitgen_t`` whose ``next_double`` returns ``turns`` in order, so
+    that a stream loop drawing from it gives photon ``i`` the initial phase
+    ``turns[i] * TWO_PI``: chosen phases through the loops' draw. A loop
+    takes its address; keep the struct alive while the loop runs."""
+    values = iter(np.asarray(turns, np.float64).tolist())
+    next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda _: next(values))
+    return _Bitgen(next_double=next_double)
 
 
-def stream_outcomes(loop, config, offsets=None):
+def stream_outcomes(loop, config, turns=None):
     """``(bs1, bs2)`` as filled by ``loop``, the compiled ``run_stream`` or
-    anything with its signature, for the drawn stream of ``config``, or
-    for its emissions with the initial phases ``offsets`` if given. Both
-    start at -1, so a photon the loop skips shows."""
-    emissions, drawn = drawn_stream(config)
-    offsets = drawn if offsets is None else offsets
-    n = emissions.size
+    anything with its signature, for the stream of ``config`` as
+    ``run_mzi`` draws it: the gaps, then the initial phases from the same
+    generator, or the configured phase. Given ``turns``, the initial phases
+    are ``turns * TWO_PI`` in their place. Both arrays start at -1, so a
+    photon the loop skips shows."""
+    n, phase = config.photon_count, config.particle_initial_phase
+    rng = np.random.default_rng(config.master_seed)
+    times = generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law)
+    listed = None if turns is None else listed_bitgen(turns)  # alive until the loop returns
+    if listed is not None:
+        bitgen = ctypes.addressof(listed)
+    elif phase is None:
+        bitgen = rng.bit_generator.ctypes.bit_generator
+    else:
+        bitgen = None
     bs1, bs2 = np.full(n, -1, np.int8), np.full(n, -1, np.int8)
-    loop(emissions, offsets, n, *_stream_params(config), bs1, bs2)
+    loop(times, n, bitgen, 0.0 if phase is None else phase, *_stream_params(config), bs1, bs2)
     return bs1, bs2
+
+
+def test_bitgen_layout_is_numpys():
+    # the loops read numpy's bitgen_t through their own copy of its layout;
+    # a numpy that moved a slot would fail here, not only in the pins
+    rng = np.random.default_rng(3)  # owns the struct read below
+    interface = rng.bit_generator.ctypes
+    source = ctypes.cast(interface.bit_generator, ctypes.POINTER(_Bitgen)).contents
+
+    def address(pointer):
+        return ctypes.cast(pointer, ctypes.c_void_p).value
+
+    assert source.state == interface.state_address
+    assert address(source.next_uint64) == address(interface.next_uint64)
+    assert address(source.next_uint32) == address(interface.next_uint32)
+    assert address(source.next_double) == address(interface.next_double)
 
 
 @needs_cc

