@@ -1,7 +1,6 @@
 import ctypes
 import math
 import tracemalloc
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from mzsim.experiment import (
     _run_stream_py,
     _stream_params,
 )
-from mzsim.optics import INTER_ARRIVAL_LAWS, generate_emissions
+from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 from test_kernel import CC, assert_same_run, listed_bitgen, needs_cc, stream_outcomes
 
@@ -130,7 +129,7 @@ def loop(request, monkeypatch):
 
 @pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
 @pytest.mark.parametrize("phase", [None, 7.0, -2.0])
-def test_run_sums_its_gaps_and_then_draws_its_phases(loop, law, phase, monkeypatch):
+def test_run_leaves_its_draw_in_the_first_two_buffers(loop, law, phase, monkeypatch):
     """A run draws all the gaps from a generator seeded with the master
     seed, then one phase per photon (none for a configured phase). After
     it, buffers[0] holds the cumulative sum of those gaps, and the run's
@@ -154,41 +153,6 @@ def test_run_sums_its_gaps_and_then_draws_its_phases(loop, law, phase, monkeypat
         if phase is None:
             reference.random(n)
         assert generators[-1].bit_generator.state == reference.bit_generator.state
-
-
-def test_run_times_are_strictly_increasing(loop):
-    _, (times, _, _) = run_mzi(small_config(photon_count=5000, source_rate=3.0, master_seed=11))
-    assert (np.diff(times) > 0.0).all() and times[0] > 0.0
-
-
-@pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
-def test_run_times_are_the_cumulative_sum_of_the_gaps(loop, law):
-    # the loop sums the gaps in place; the bits must be np.cumsum's
-    rate, n = 3.0, 10_000
-    rng = np.random.default_rng(19)
-    draws = {
-        "exponential": lambda: rng.exponential(1.0 / rate, n),
-        "uniform": lambda: rng.uniform(0.0, 2.0 / rate, n),
-        "fixed": lambda: np.full(n, 1.0 / rate),
-    }
-    expected = np.cumsum(draws[law]())
-    cfg = small_config(photon_count=n, source_rate=rate, inter_arrival_law=law, master_seed=19)
-    _, (times, _, _) = run_mzi(cfg)
-    assert times.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
-@pytest.mark.parametrize("rate", [1e-308, 1e-307])  # a gap, or only the sum, overflows
-def test_run_time_overflow_is_inf_without_a_warning(loop, law, rate):
-    # the run refuses an infinite time with one error line; a numpy warning
-    # printed before it would break that line
-    cfg = small_config(photon_count=100, source_rate=rate, inter_arrival_law=law, master_seed=0)
-    buffers = photon_buffers(cfg.photon_count)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match="last arrival time inf overflows"):
-            run_mzi(cfg, buffers)
-    assert buffers[0][-1] == math.inf
 
 
 def test_run_refuses_a_path_phase_that_overflows(loop):

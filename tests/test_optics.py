@@ -1,10 +1,32 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mzsim.config import ConfigError, ExperimentConfig
+from mzsim.experiment import photon_buffers, run_mzi
 from mzsim.optics import INTER_ARRIVAL_LAWS, generate_emissions, interact
 from mzsim.phases import TWO_PI
+from test_kernel import CC
+
+
+def under_each_loop(check):
+    """Calls ``check()`` under each stream loop ``run_mzi`` can run: the
+    compiled kernel, where cc is on PATH, and the Python reference it falls
+    back to. The loops sum ``generate_emissions``' gaps into the times."""
+    if CC is not None:
+        check()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("mzsim.experiment._load_kernel", lambda: None)
+        check()
+
+
+def run_times(**overrides):
+    """The emission times a run leaves in ``buffers[0]``."""
+    _, (times, _, _) = run_mzi(replace(ExperimentConfig(), **overrides))
+    return times
 
 
 def test_decide_cases():
@@ -59,6 +81,15 @@ def test_generate_emissions_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_generate_emissions_strictly_increasing():
+    # as the run sums the gaps into times
+    def check():
+        times = run_times(photon_count=5000, source_rate=3.0, master_seed=11)
+        assert (np.diff(times) > 0.0).all() and times[0] > 0.0
+
+    under_each_loop(check)
+
+
 def test_generate_emissions_mean_gap_matches_rate():
     # oracle: the direct mean of the generated gaps
     gaps = generate_emissions(2.0, 100_000, np.random.default_rng(3))
@@ -74,6 +105,25 @@ def test_generate_emissions_uniform_law_mean():
     gaps = generate_emissions(2.0, 100_000, np.random.default_rng(5), law="uniform")
     assert abs(gaps.mean() - 0.5) <= 0.05 * 0.5
     assert gaps.max() <= 1.0  # uniform law is bounded by 2/rate
+
+
+@pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
+def test_generate_emissions_is_the_cumulative_sum_of_the_gaps(law):
+    # the run's loop sums the gaps in place; the bits must be np.cumsum's
+    rate, n = 3.0, 10_000
+    rng = np.random.default_rng(19)
+    draws = {
+        "exponential": lambda: rng.exponential(1.0 / rate, n),
+        "uniform": lambda: rng.uniform(0.0, 2.0 / rate, n),
+        "fixed": lambda: np.full(n, 1.0 / rate),
+    }
+    expected = np.cumsum(draws[law]()).tobytes()
+
+    def check():
+        times = run_times(photon_count=n, source_rate=rate, inter_arrival_law=law, master_seed=19)
+        assert times.tobytes() == expected
+
+    under_each_loop(check)
 
 
 @pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
@@ -99,6 +149,25 @@ def test_generate_emissions_refuses_an_out_that_does_not_fit(out):
     with pytest.raises(ValueError, match="out must be"):
         generate_emissions(1.0, 10, rng, out=out)
     assert rng.bit_generator.state == state  # nothing drawn
+
+
+@pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
+@pytest.mark.parametrize("rate", [1e-308, 1e-307])  # a gap, or only the sum, overflows
+def test_generate_emissions_overflow_is_inf_without_a_warning(law, rate):
+    # the run refuses an infinite time with one error line; a numpy warning
+    # printed before it would break that line
+    cfg = replace(ExperimentConfig(), photon_count=100, source_rate=rate,
+                  inter_arrival_law=law, master_seed=0)
+
+    def check():
+        buffers = photon_buffers(cfg.photon_count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="last arrival time inf overflows"):
+                run_mzi(cfg, buffers)
+        assert buffers[0][-1] == math.inf
+
+    under_each_loop(check)
 
 
 def test_generate_emissions_bad_args():
