@@ -16,8 +16,8 @@
  * So a run holds one float64 array, the gaps that become the times, and no
  * array of phases.
  *
- * Its outcomes are bit for bit those of the Python reference loop
- * (experiment._run_stream_py, written with optics.interact): it does the
+ * Its outcomes are bit for bit those of the splitter rule written in Python
+ * with phases.wrap_phase (the test oracle, tests/reference.py): it does the
  * same IEEE double operations in the same order, except that it skips the
  * photon's phase update on a reflection at BS2, which no outcome reads, and
  * computes BS2's phase update for transmitted photons too, then drops it.

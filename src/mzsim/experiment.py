@@ -17,14 +17,13 @@ import functools
 import math
 import os
 import struct
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .optics import generate_emissions, interact
+from .optics import generate_emissions
 from .phases import TWO_PI, wrap_phase
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -83,7 +82,7 @@ def _check_buffers(buffers: Buffers, n: int) -> None:
 
 
 # The compiled stream loop: its source, and the flags it must be built with
-# to match the Python loop bit for bit (see _kernel.c).
+# to round as Python's float arithmetic does (see _kernel.c).
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
@@ -136,46 +135,23 @@ def _build_kernel() -> Path:
 
 @functools.cache
 def _load_kernel():
-    """The compiled ``run_stream`` of ``_kernel.c``, loaded once per process,
-    or None (with one warning) when it cannot be built or loaded here."""
-    try:
-        lib = ctypes.CDLL(str(_build_kernel()))
-    except OSError as exc:
-        warnings.warn(
-            f"mzsim: cannot build the compiled stream loop ({exc}); "
-            "using the much slower Python loop",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
+    """The compiled ``run_stream`` of ``_kernel.c``, loaded once per process.
+    Where it cannot be built or loaded, the OSError says why: no C compiler
+    on PATH, a failed or hung compile, or a cache that cannot be written
+    (see :func:`_build_kernel`)."""
+    run = ctypes.CDLL(str(_build_kernel())).run_stream
     times = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     flags = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
-    run = lib.run_stream
     run.argtypes = [times, ctypes.c_int64, ctypes.c_void_p, *[ctypes.c_double] * 13, flags, flags]
     run.restype = None
     return run
-
-
-class _Bitgen(ctypes.Structure):
-    """numpy's ``bitgen_t`` (``numpy/random/bitgen.h``), as ``_kernel.c``
-    declares it: ``Generator.bit_generator.ctypes.bit_generator`` is the
-    address of one, and its ``next_double(state)`` is the draw of
-    ``Generator.random``."""
-
-    _fields_ = [
-        ("state", ctypes.c_void_p),
-        ("next_uint64", ctypes.c_void_p),
-        ("next_uint32", ctypes.c_void_p),
-        ("next_double", ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)),
-        ("next_raw", ctypes.c_void_p),
-    ]
 
 
 def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
     """``(nu_p, path1, path2, nu1, a1, b1, s1, nu2, a2, b2, c2, lag2)``: what
     the stream loop reads of a config, its geometry stated once as wrapped
     phases: the photon's steps along paths 1 and 2, BS1's and BS2's starting
-    phases, and path 2's lag at BS2 (see :func:`_run_stream_py`)."""
+    phases, and path 2's lag at BS2 (see ``run_stream`` in ``_kernel.c``)."""
     bs1, bs2, base, delta = config.bs1, config.bs2, config.base_path_length, config.delta
     nu_p, nu1, nu2 = config.particle_frequency, bs1.frequency, bs2.frequency
     return (
@@ -186,52 +162,6 @@ def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
         wrap_phase(wrap_phase(nu2 * (2.0 * base)) + wrap_phase(bs2.initial_offset)),
         wrap_phase(nu2 * delta),
     )
-
-
-def _run_stream_py(
-    times: np.ndarray, n: int, bitgen: int | ctypes.c_void_p | None, phase: float,
-    nu_p: float, path1: float, path2: float,
-    nu1: float, a1: float, b1: float, s1: float,
-    nu2: float, a2: float, b2: float, c2: float, lag2: float,
-    bs1_out: np.ndarray, bs2_out: np.ndarray,
-) -> None:
-    """The stream loop written with :func:`mzsim.optics.interact`: the
-    reference the compiled kernel is tested against, and its fallback. It
-    takes the kernel's ``run_stream`` arguments (see :func:`_stream_params`)
-    and fills the same arrays.
-
-    On entry ``times`` holds the emission gaps; each is summed in turn into
-    the emission time, in place. Photon ``i``'s initial phase is the next
-    ``next_double`` of the ``bitgen_t`` at address ``bitgen``, times
-    ``TWO_PI``, or ``phase`` if ``bitgen`` is None. Each oscillator's wrapped phase is carried from one photon to the next
-    by the gap between their emission times, ``wrap(x + nu*gap)``: the
-    source's ``cp`` and BS1's ``s1`` as the photon meets BS1, and BS2's
-    ``c2`` as it would meet BS2 by path 1 (path 2 meets it ``lag2`` later).
-    At each splitter the photon's and the splitter's phases go through
-    ``interact``; a reflection keeps the phases it returns, BS2's shifted
-    back to the path 1 time.
-    """
-    if bitgen is not None:
-        source = ctypes.cast(bitgen, ctypes.POINTER(_Bitgen)).contents
-        next_double, state = source.next_double, source.state
-    cp, prev = path1, 0.0
-    try:
-        for i in range(n):
-            emitted = prev + times.item(i)
-            gap, prev = emitted - prev, emitted
-            times[i] = emitted
-            phi = phase if bitgen is None else next_double(state) * TWO_PI
-            cp, s1 = wrap_phase(cp + nu_p * gap), wrap_phase(s1 + nu1 * gap)
-            c2 = wrap_phase(c2 + nu2 * gap)
-            first, p, s1 = interact(wrap_phase(cp + wrap_phase(phi)), s1, a1, b1)
-            p2 = wrap_phase(p + (path1 if first else path2))
-            second, _, s = interact(p2, c2 if first else wrap_phase(c2 + lag2), a2, b2)
-            if second:
-                c2 = s if first else wrap_phase(s - lag2)
-            bs1_out[i], bs2_out[i] = first, second
-    except ValueError:  # a non-finite phase: the run refuses it once the times are summed
-        for i in range(i + 1, n):
-            prev = times[i] = prev + times.item(i)
 
 
 def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
@@ -284,8 +214,8 @@ def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
     (the loop wraps both). The loop sums the gaps into the emission times
     in place, so a run holds 10 bytes per photon: ``buffers``, from
     :func:`photon_buffers` for ``config.photon_count``, filled in place and
-    returned, or its own. The loop is the compiled kernel (``_kernel.c``)
-    or, where that cannot be built, :func:`_run_stream_py`, with a warning.
+    returned, or its own. The loop is the compiled kernel (``_kernel.c``);
+    where it cannot be built, the run is an OSError (see :func:`_load_kernel`).
     """
     n = config.photon_count
     buffers = photon_buffers(n) if buffers is None else buffers
@@ -299,8 +229,7 @@ def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
         params = _stream_params(config)
     except ValueError:  # some nu*path overflows, which the check below refuses
         params = (math.nan,) * 12
-    loop = _load_kernel() or _run_stream_py
-    loop(emissions, n, bitgen, 0.0 if phase is None else phase, *params, bs1, bs2)
+    _load_kernel()(emissions, n, bitgen, 0.0 if phase is None else phase, *params, bs1, bs2)
     _check_phase_range(config, float(emissions[-1]))
     d1 = int(np.count_nonzero(bs2))
     return (d1, n - d1), (emissions, bs1, bs2)

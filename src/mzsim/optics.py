@@ -1,10 +1,7 @@
-"""Apparatus elements: the photon source and the beam-splitter rule.
+"""The photon source: the emission gaps of a photon stream.
 
-A beam splitter here is not a probabilistic 50/50 element: it routes each
-photon deterministically by comparing the photon's instantaneous phase with
-its own, and a reflection feeds back into the splitter's phase, so the
-apparatus keeps a record of the photons it reflected. :func:`interact` is
-the reference statement of that rule.
+The beam splitters it feeds are stated in the compiled stream loop
+(``run_stream`` in ``_kernel.c``, run by :func:`mzsim.experiment.run_mzi`).
 """
 
 from __future__ import annotations
@@ -12,8 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .phases import wrap_phase
 
 INTER_ARRIVAL_LAWS = ("exponential", "uniform", "fixed")
 
@@ -63,17 +58,3 @@ def generate_emissions(
         out *= scale
     return out
 
-
-def interact(p: float, s: float, alpha: float, beta: float) -> tuple[bool, float, float]:
-    """One photon/splitter interaction: ``(reflected, p_new, s_new)``.
-
-    ``p`` and ``s`` are the photon's and the splitter's wrapped phases at the
-    interaction time. The photon reflects iff wrap(p - s) < pi; a reflection
-    replaces both phases with ``p' = wrap(alpha*p + beta*s)`` and
-    ``s' = wrap(alpha*s + beta*p)``, a transmission returns them unchanged.
-    ``(alpha, beta) = (1, 0)`` makes the update the identity, which disables
-    the splitter's memory entirely.
-    """
-    if wrap_phase(p - s) >= math.pi:
-        return False, p, s
-    return True, wrap_phase(alpha * p + beta * s), wrap_phase(alpha * s + beta * p)

@@ -18,11 +18,10 @@ from mzsim.analysis import binomial_ci, fit_sine, qm_reference, visibility
 from mzsim.cli import main as cli_main
 from mzsim.config import ExperimentConfig, load_config
 from mzsim.experiment import (
-    _load_kernel, _run_stream_py, default_sweep_deltas, point_config, run_mzi, run_single_bs,
-    run_sweep,
+    _load_kernel, default_sweep_deltas, point_config, run_mzi, run_single_bs, run_sweep,
 )
 from mzsim.phases import TWO_PI
-from test_kernel import stream_outcomes
+from reference import stream_outcomes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ExperimentConfig()
@@ -259,7 +258,7 @@ def test_criterion_10_fringe_without_randomness():
     spread evenly over consecutive photons make one, and slowly varying
     ones do not.
 
-    Each sweep point runs the stream loop that run_mzi picks on the point's
+    Each sweep point runs the compiled stream loop on the point's
     fixed-gap stream, drawn as run_mzi draws it from the point's child seed,
     with initial phases from a formula: Kronecker, i*(sqrt(2) - 1) mod 1
     turns for photon i, or a ramp, i/n turns. Neither draws a random number,
@@ -279,7 +278,7 @@ def test_criterion_10_fringe_without_randomness():
     base = replace(REFERENCE, photon_count=20_000, inter_arrival_law="fixed")
     deltas = default_sweep_deltas(base, steps=48)
     n = base.photon_count
-    loop = _load_kernel() or _run_stream_py
+    loop = _load_kernel()
 
     def sweep(turns, seed):
         """Fractions with initial phases ``turns * TWO_PI``, or drawn ones."""
@@ -307,4 +306,49 @@ def test_criterion_10_fringe_without_randomness():
         f"at seeds 1 and 2: Kronecker {kron[0] == kron[1]}, ramp {ramps[0] == ramps[1]}, "
         f"random {rand[0] == rand[1]} (True, True, False); random phases give run_sweep's "
         f"fractions: {rand[0] == by_run}",
+    )
+
+
+def test_criterion_11_fringe_needs_phases_that_change_within_a_few_photons():
+    """The fringe needs the initial phases of the next few photons to
+    differ: holding each random phase for k consecutive photons cuts the
+    contrast, though the phases stay uniform over the stream.
+
+    Each sweep point runs the compiled stream loop on the point's fixed-gap
+    stream with i.i.d. uniform phases of its own, drawn from the test's
+    generator and each held for k photons, given as turns as in criterion
+    10. The contrast is the fitted amplitude over the fitted offset, A/c0.
+    """
+    # 48 points over two periods, 2e4 photons per point, the reference
+    # splitters. Over the test generator's seeds 1-10, A/c0 read 0.489-0.498
+    # at k = 1, 0.333-0.341 at k = 4 and 0.121-0.130 at k = 16. Each bound
+    # sits 0.039-0.050 outside its range, over four times the range's width.
+    base = replace(REFERENCE, photon_count=20_000, inter_arrival_law="fixed")
+    deltas = default_sweep_deltas(base, steps=48)
+    n = base.photon_count
+    loop = _load_kernel()
+
+    def contrast(hold, seed):
+        rng = np.random.default_rng(seed)
+        fractions = []
+        for delta in deltas:
+            turns = np.repeat(rng.random(-(-n // hold)), hold)[:n]
+            bs2 = stream_outcomes(loop, point_config(base, delta), turns)[1]
+            fractions.append(np.count_nonzero(bs2) / n)
+        fit = fit_sine(deltas, fractions)
+        return fit.amplitude / fit.offset
+
+    seeds = (1, 2)
+    by_hold = {hold: [contrast(hold, s) for s in seeds] for hold in (1, 4, 16)}
+
+    def spread(hold):
+        return f"{min(by_hold[hold]):.4f}-{max(by_hold[hold]):.4f}"
+
+    _report(
+        "11 fringe needs phases that change within a few photons",
+        min(by_hold[1]) >= 0.45 and 0.29 <= min(by_hold[4]) and max(by_hold[4]) <= 0.39
+        and max(by_hold[16]) <= 0.18,
+        f"fixed gaps, fitted contrast A/c0 with each random phase held for k photons, at "
+        f"seeds {seeds[0]}-{seeds[-1]}: k=1 {spread(1)} (>= 0.45), k=4 {spread(4)} "
+        f"(0.29-0.39), k=16 {spread(16)} (<= 0.18)",
     )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from mzsim import cli, experiment
 from mzsim.analysis import binomial_ci
 from mzsim.cli import main
 from mzsim.output import write_csv
-from test_kernel import needs_cc
+from test_kernel import fresh_loader, needs_cc  # noqa: F401 (fresh_loader is a fixture)
 from test_output import LARGE_COUNT_ROWS
 
 
@@ -491,6 +492,24 @@ def test_photon_count_too_large_to_allocate_is_a_single_line_error(tmp_path, cap
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
 
+
+
+@pytest.mark.parametrize("argv", [
+    ("mzi", "--photons", "100"),
+    ("sweep", "--steps", "3", "--photons", "100", "--parallel", "1"),
+], ids=["mzi", "serial-sweep"])
+def test_missing_compiler_is_a_single_line_error(tmp_path, monkeypatch, capsys, fresh_loader,
+                                                 argv):
+    # every run needs the compiled stream loop; here there is no cached
+    # library beside its source, and no cc to build one
+    source = tmp_path / "_kernel.c"
+    shutil.copyfile(experiment._KERNEL_SOURCE, source)
+    monkeypatch.setattr(experiment, "_KERNEL_SOURCE", source)
+    monkeypatch.setattr(experiment, "_compiler", lambda: None)
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no C compiler (cc) on PATH\n"
 
 def test_analyze_prints_fractions_of_counts_up_to_2_63(tmp_path, capsys):
     path = tmp_path / "large.csv"

@@ -21,12 +21,12 @@ from mzsim.experiment import (
     run_sweep,
     _contiguous_slices,
     _load_kernel,
-    _run_stream_py,
     _stream_params,
 )
 from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
-from test_kernel import CC, assert_same_run, listed_bitgen, needs_cc, stream_outcomes
+from reference import listed_bitgen, reference_stream, stream_outcomes
+from test_kernel import assert_same_run, needs_cc
 
 
 def small_config(**overrides):
@@ -103,7 +103,7 @@ def test_mzi_trace_periodic_in_delta():
 def test_random_initial_offsets_are_uniform_draws():
     # drawn in the loop as next_double * TWO_PI after the gaps; the bits
     # must be those of rng.uniform after rng.exponential from the master
-    # seed, given to the reference loop as turns of the circle
+    # seed, given to the oracle as turns of the circle
     cfg = small_config()
     n = cfg.photon_count
     reference, again = (np.random.default_rng(cfg.master_seed) for _ in range(2))
@@ -112,19 +112,15 @@ def test_random_initial_offsets_are_uniform_draws():
     turns = reference.random(n)
     assert (turns * TWO_PI).tobytes() == again.uniform(0.0, TWO_PI, n).tobytes()
     _, (_, bs1, bs2) = run_mzi(cfg)
-    for got, want in zip((bs1, bs2), stream_outcomes(_run_stream_py, cfg, turns), strict=True):
+    for got, want in zip((bs1, bs2), stream_outcomes(reference_stream, cfg, turns), strict=True):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.fixture(params=["kernel", "python"])
-def loop(request, monkeypatch):
-    """The stream loop run_mzi runs: the compiled kernel, or the Python
-    reference it falls back to."""
-    if request.param == "python":
-        monkeypatch.setattr("mzsim.experiment._load_kernel", lambda: None)
-    elif CC is None:
-        pytest.skip("no C compiler (cc) on PATH")
-    return request.param
+@pytest.fixture(params=["kernel"])
+def loop():
+    """The stream loop run_mzi runs, the compiled kernel, loaded before the
+    test starts; the parameter names it in the test IDs."""
+    _load_kernel()
 
 
 @pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
@@ -218,7 +214,7 @@ configs = st.builds(
 
 def assert_kernel_fills_the_reference_arrays(config):
     kernel = stream_outcomes(_load_kernel(), config)
-    reference = stream_outcomes(_run_stream_py, config)
+    reference = stream_outcomes(reference_stream, config)
     for got, expected in zip(kernel, reference):
         np.testing.assert_array_equal(got, expected)
 
@@ -228,7 +224,7 @@ def assert_kernel_fills_the_reference_arrays(config):
 @given(config=configs)
 def test_stream_loop_matches_interact_reference(config):
     """The compiled kernel (what run_mzi runs) fills the same outcome
-    arrays as the interact-based reference loop, photon for photon."""
+    arrays as the oracle, reference_stream, photon for photon."""
     assert_kernel_fills_the_reference_arrays(config)
 
 
@@ -236,10 +232,10 @@ def test_stream_loop_matches_interact_reference(config):
 @settings(max_examples=40, deadline=None)
 @given(config=configs, bs2=splitters, delta=st.floats(0.0, 50.0))
 def test_bs1_outcomes_do_not_depend_on_bs2_or_delta(config, bs2, delta):
-    """BS1's rule reads neither BS2's state nor delta, in either loop: what
-    makes a single-bs run the BS1 part of a two-splitter run."""
+    """BS1's rule reads neither BS2's state nor delta, in the kernel or the
+    oracle: what makes a single-bs run the BS1 part of a two-splitter run."""
     other = replace(config, bs2=bs2, delta=delta)
-    for loop in (_load_kernel(), _run_stream_py):
+    for loop in (_load_kernel(), reference_stream):
         bs1 = stream_outcomes(loop, config)[0]
         np.testing.assert_array_equal(stream_outcomes(loop, other)[0], bs1)
 
@@ -286,7 +282,7 @@ def test_phase_fixed_at_bs1_offset_reflects_every_photon_at_any_time(loop, law):
     photon meets BS1 in phase, and its symmetric update keeps the two in
     phase, so BS1 reflects every photon. At rate 0.05 the arrival times
     reach ~6e4, past the 2**13 from which the rounding of a phase formed as
-    wrap(nu*t + offset) outgrows wrap's 1e-12 snap; the loops carry each
+    wrap(nu*t + offset) outgrows wrap's 1e-12 snap; the kernel carries each
     phase by the gaps, so that rounding never reaches a decision."""
     cfg = small_config(photon_count=3000, source_rate=0.05, inter_arrival_law=law,
                        particle_initial_phase=0.0, delta=2.0, master_seed=1)
@@ -308,9 +304,9 @@ turns_below_one = st.integers(1, 1400).map(lambda k: 1.0 - k * 2.0**-53)
 @settings(max_examples=30, deadline=None)
 @given(config=configs, data=st.data())
 def test_stream_loops_snap_initial_phases_just_below_two_pi(configured, config, data):
-    """Each loop wraps the initial phases it draws or is given, so phases in
-    (TWO_PI - WRAP_SNAP, TWO_PI) give the outcomes of the same phases
-    snapped to 0.0 beforehand, as wrap_phase snaps them."""
+    """The kernel and the oracle wrap the initial phases they draw or are
+    given, so phases in (TWO_PI - WRAP_SNAP, TWO_PI) give the outcomes of
+    the same phases snapped to 0.0 beforehand, as wrap_phase snaps them."""
     if configured:
         raw = (replace(config, particle_initial_phase=data.draw(below_two_pi)), None)
         snapped = (replace(config, particle_initial_phase=0.0), None)
@@ -329,7 +325,7 @@ def test_stream_loops_snap_initial_phases_just_below_two_pi(configured, config, 
         assert (snapped[1] == 0.0).any()
     kernel = _load_kernel()
     expected = stream_outcomes(kernel, *snapped)
-    for loop in (kernel, _run_stream_py):
+    for loop in (kernel, reference_stream):
         for stream in (raw, snapped):
             for got, want in zip(stream_outcomes(loop, *stream), expected):
                 np.testing.assert_array_equal(got, want)
@@ -368,7 +364,7 @@ def test_reversed_stream_changes_splitter_memory():
     rng = np.random.default_rng(cfg.master_seed)
     gaps = generate_emissions(cfg.source_rate, n, rng, law=cfg.inter_arrival_law)
     turns = rng.random(n)
-    loop = _load_kernel() or _run_stream_py
+    loop = _load_kernel()
     forward, backward = ([np.empty(n, np.int8), np.empty(n, np.int8)] for _ in range(2))
     for order, (bs1, bs2) in ((slice(None), forward), (slice(None, None, -1), backward)):
         source = listed_bitgen(turns[order])

@@ -1,15 +1,16 @@
-"""The compiled stream loop: how it is built, shared and replaced.
+"""The compiled stream loop: how it is built, shared and refused.
 
-That it fills the same outcome arrays as the ``interact``-based reference
-loop, which takes the same arguments, is checked photon for photon by
+That it fills the same outcome arrays as the oracle in ``reference.py`` is
+checked photon for photon by
 ``test_experiment.test_stream_loop_matches_interact_reference``; here its
 phase reduction ``wrap`` is checked against ``phases.wrap_phase`` directly,
-and the ``bitgen_t`` layout both loops draw through against numpy's.
+the ``bitgen_t`` layout it draws through against numpy's, and a build under
+the address and undefined-behaviour sanitizers on the runs at its block
+edges.
 """
 
 import ast
 import ctypes
-import functools
 import os
 import shutil
 import subprocess
@@ -24,9 +25,10 @@ import pytest
 
 from mzsim import experiment
 from mzsim.config import ExperimentConfig
-from mzsim.experiment import _Bitgen, _load_kernel, _stream_params, run_mzi, run_single_bs
-from mzsim.optics import generate_emissions
+from mzsim.experiment import _load_kernel, run_mzi, run_single_bs
+from mzsim.optics import INTER_ARRIVAL_LAWS
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
+from reference import Bitgen
 
 CC = shutil.which("cc")
 needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH")
@@ -39,14 +41,18 @@ def fresh_loader():
     _load_kernel.cache_clear()
 
 
+# What the error of each failed build says: no compiler, the compile's
+# exit status, or the file that stands where the cache directory goes.
+BUILD_FAILURES = {
+    "no-compiler": r"^no C compiler \(cc\) on PATH$",
+    "compile-fails": r"returned non-zero exit status 1",
+    "cache-not-writable": r"File exists: .*__pycache__",
+}
+
+
 @pytest.mark.parametrize("failure", ["no-compiler", "compile-fails", "cache-not-writable"])
-def test_failed_build_falls_back_to_the_python_loop_with_one_warning(
-    tmp_path, monkeypatch, fresh_loader, failure
-):
+def test_failed_build_is_an_error_naming_its_cause(tmp_path, monkeypatch, fresh_loader, failure):
     cfg = replace(ExperimentConfig(), photon_count=3000, delta=1.5, master_seed=5)
-    runs = [functools.partial(run_mzi, cfg), functools.partial(run_single_bs, cfg)]
-    expected = [run() for run in runs]
-    _load_kernel.cache_clear()
     source = tmp_path / "_kernel.c"  # no cached library beside it
     shutil.copyfile(experiment._KERNEL_SOURCE, source)
     monkeypatch.setattr(experiment, "_KERNEL_SOURCE", source)
@@ -58,12 +64,10 @@ def test_failed_build_falls_back_to_the_python_loop_with_one_warning(
         (tmp_path / "__pycache__").write_text("")  # a file where the cache goes
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fallback = [run() for run in runs]
-    assert _load_kernel() is None
-    for got, want in zip(fallback, expected, strict=True):
-        assert_same_run(got, want)
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert "Python loop" in str(caught[0].message)
+        for run in (run_mzi, run_single_bs):
+            with pytest.raises(OSError, match=BUILD_FAILURES[failure]):
+                run(cfg)
+    assert caught == []
     assert [p.name for p in tmp_path.rglob("*") if p.suffix in (".so", ".tmp")] == []
 
 
@@ -129,6 +133,63 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+
+def compiler_runtime(name):
+    """The path of the C compiler's runtime library ``name``, or None where
+    it has none (``-print-file-name`` then echoes the bare name)."""
+    done = subprocess.run([CC, f"-print-file-name={name}"], capture_output=True, text=True,
+                          timeout=60)
+    path = Path(done.stdout.strip())
+    return path if path.is_absolute() and path.is_file() else None
+
+
+# Runs at the edges of the kernel's blocks of 512 phases, for each law, with
+# drawn phases and with a fixed one.
+BLOCK_EDGE_RUNS = [
+    {"photon_count": n, "inter_arrival_law": law, "particle_initial_phase": phase, "delta": 1.3}
+    for n in (1, 511, 512, 513, 2000) for law in INTER_ARRIVAL_LAWS for phase in (None, 7.0)
+]
+
+
+@needs_cc
+def test_kernel_runs_clean_under_the_address_and_undefined_behaviour_sanitizers(tmp_path):
+    # An out-of-bounds access or undefined arithmetic in run_stream aborts
+    # the sanitized build's process; its counts must still be the kernel's.
+    runtimes = [compiler_runtime(name) for name in ("libasan.so", "libubsan.so")]
+    if None in runtimes:
+        pytest.skip("the C compiler has no libasan or libubsan")
+    lib = tmp_path / "_kernel-sanitized.so"
+    done = subprocess.run(
+        [CC, *experiment._CFLAGS, "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-o", str(lib), str(experiment._KERNEL_SOURCE), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    script = (
+        "import ast, sys\n"
+        "from dataclasses import replace\n"
+        "from pathlib import Path\n"
+        "from mzsim import experiment\n"
+        "from mzsim.config import ExperimentConfig\n"
+        "experiment._build_kernel = lambda: Path(sys.argv[1])\n"
+        "for overrides in ast.literal_eval(sys.argv[2]):\n"
+        "    print(experiment.run_mzi(replace(ExperimentConfig(), **overrides))[0])\n"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(experiment.__file__).parents[1]),
+        "LD_PRELOAD": ":".join(map(str, runtimes)),
+        "ASAN_OPTIONS": "detect_leaks=0",  # the interpreter's own, not the kernel's
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(lib), repr(BLOCK_EDGE_RUNS)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert done.stderr == ""
+    expected = [run_mzi(replace(ExperimentConfig(), **overrides))[0] for overrides in BLOCK_EDGE_RUNS]
+    assert done.stdout.splitlines() == [str(counts) for counts in expected]
+
 def wrap_cases() -> np.ndarray:
     """About 1.7 million doubles that probe the kernel's phase reduction:
     the ranges the loop sees, every exponent, the neighbours of multiples
@@ -166,9 +227,7 @@ def wrap_cases() -> np.ndarray:
 def kernel_functions():
     """``(run_stream, wrap_array)`` of the library built from
     ``experiment._KERNEL_SOURCE``, with their argument types set."""
-    run = _load_kernel()
-    assert run is not None, "the compiled kernel did not load"
-    return run, library_wrap_array(experiment._build_kernel())
+    return _load_kernel(), library_wrap_array(experiment._build_kernel())
 
 
 def library_wrap_array(path):
@@ -196,44 +255,13 @@ def assert_same_run(a, b):
         np.testing.assert_array_equal(x, y, strict=True)
 
 
-def listed_bitgen(turns):
-    """A ``bitgen_t`` whose ``next_double`` returns ``turns`` in order, so
-    that a stream loop drawing from it gives photon ``i`` the initial phase
-    ``turns[i] * TWO_PI``: chosen phases through the loops' draw. A loop
-    takes its address; keep the struct alive while the loop runs."""
-    values = iter(np.asarray(turns, np.float64).tolist())
-    next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda _: next(values))
-    return _Bitgen(next_double=next_double)
-
-
-def stream_outcomes(loop, config, turns=None):
-    """``(bs1, bs2)`` as filled by ``loop``, the compiled ``run_stream`` or
-    anything with its signature, for the stream of ``config`` as
-    ``run_mzi`` draws it: the gaps, then the initial phases from the same
-    generator, or the configured phase. Given ``turns``, the initial phases
-    are ``turns * TWO_PI`` in their place. Both arrays start at -1, so a
-    photon the loop skips shows."""
-    n, phase = config.photon_count, config.particle_initial_phase
-    rng = np.random.default_rng(config.master_seed)
-    times = generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law)
-    listed = None if turns is None else listed_bitgen(turns)  # alive until the loop returns
-    if listed is not None:
-        bitgen = ctypes.addressof(listed)
-    elif phase is None:
-        bitgen = rng.bit_generator.ctypes.bit_generator
-    else:
-        bitgen = None
-    bs1, bs2 = np.full(n, -1, np.int8), np.full(n, -1, np.int8)
-    loop(times, n, bitgen, 0.0 if phase is None else phase, *_stream_params(config), bs1, bs2)
-    return bs1, bs2
-
-
 def test_bitgen_layout_is_numpys():
-    # the loops read numpy's bitgen_t through their own copy of its layout;
-    # a numpy that moved a slot would fail here, not only in the pins
+    # the kernel reads numpy's bitgen_t through its own copy of its layout,
+    # as Bitgen does; a numpy that moved a slot would fail here, not only in
+    # the pins
     rng = np.random.default_rng(3)  # owns the struct read below
     interface = rng.bit_generator.ctypes
-    source = ctypes.cast(interface.bit_generator, ctypes.POINTER(_Bitgen)).contents
+    source = ctypes.cast(interface.bit_generator, ctypes.POINTER(Bitgen)).contents
 
     def address(pointer):
         return ctypes.cast(pointer, ctypes.c_void_p).value

@@ -7,30 +7,20 @@ import pytest
 
 from mzsim.config import ConfigError, ExperimentConfig
 from mzsim.experiment import photon_buffers, run_mzi
-from mzsim.optics import INTER_ARRIVAL_LAWS, generate_emissions, interact
+from mzsim.optics import INTER_ARRIVAL_LAWS, generate_emissions
 from mzsim.phases import TWO_PI
-from test_kernel import CC
-
-
-def under_each_loop(check):
-    """Calls ``check()`` under each stream loop ``run_mzi`` can run: the
-    compiled kernel, where cc is on PATH, and the Python reference it falls
-    back to. The loops sum ``generate_emissions``' gaps into the times."""
-    if CC is not None:
-        check()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("mzsim.experiment._load_kernel", lambda: None)
-        check()
+from reference import interact
 
 
 def run_times(**overrides):
-    """The emission times a run leaves in ``buffers[0]``."""
+    """The emission times a run leaves in ``buffers[0]``: the stream loop
+    sums ``generate_emissions``' gaps into them."""
     _, (times, _, _) = run_mzi(replace(ExperimentConfig(), **overrides))
     return times
 
 
 def test_decide_cases():
-    # the routing decision of interact: reflect iff wrap(p - s) < pi
+    # the routing decision of the splitter rule: reflect iff wrap(p - s) < pi
     assert interact(0.4, 0.4, 1.0, 0.0)[0] is True
     assert interact(math.pi, 0.0, 1.0, 0.0)[0] is False  # strict boundary
     assert interact(1.5 * math.pi, 0.0, 1.0, 0.0)[0] is False
@@ -83,11 +73,8 @@ def test_generate_emissions_deterministic():
 
 def test_generate_emissions_strictly_increasing():
     # as the run sums the gaps into times
-    def check():
-        times = run_times(photon_count=5000, source_rate=3.0, master_seed=11)
-        assert (np.diff(times) > 0.0).all() and times[0] > 0.0
-
-    under_each_loop(check)
+    times = run_times(photon_count=5000, source_rate=3.0, master_seed=11)
+    assert (np.diff(times) > 0.0).all() and times[0] > 0.0
 
 
 def test_generate_emissions_mean_gap_matches_rate():
@@ -117,13 +104,8 @@ def test_generate_emissions_is_the_cumulative_sum_of_the_gaps(law):
         "uniform": lambda: rng.uniform(0.0, 2.0 / rate, n),
         "fixed": lambda: np.full(n, 1.0 / rate),
     }
-    expected = np.cumsum(draws[law]()).tobytes()
-
-    def check():
-        times = run_times(photon_count=n, source_rate=rate, inter_arrival_law=law, master_seed=19)
-        assert times.tobytes() == expected
-
-    under_each_loop(check)
+    times = run_times(photon_count=n, source_rate=rate, inter_arrival_law=law, master_seed=19)
+    assert times.tobytes() == np.cumsum(draws[law]()).tobytes()
 
 
 @pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
@@ -158,16 +140,12 @@ def test_generate_emissions_overflow_is_inf_without_a_warning(law, rate):
     # printed before it would break that line
     cfg = replace(ExperimentConfig(), photon_count=100, source_rate=rate,
                   inter_arrival_law=law, master_seed=0)
-
-    def check():
-        buffers = photon_buffers(cfg.photon_count)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="last arrival time inf overflows"):
-                run_mzi(cfg, buffers)
-        assert buffers[0][-1] == math.inf
-
-    under_each_loop(check)
+    buffers = photon_buffers(cfg.photon_count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="last arrival time inf overflows"):
+            run_mzi(cfg, buffers)
+    assert buffers[0][-1] == math.inf
 
 
 def test_generate_emissions_bad_args():
