@@ -50,7 +50,7 @@ BUILD_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("failure", ["no-compiler", "compile-fails", "cache-not-writable"])
+@pytest.mark.parametrize("failure", list(BUILD_FAILURES))
 def test_failed_build_is_an_error_naming_its_cause(tmp_path, monkeypatch, fresh_loader, failure):
     cfg = replace(ExperimentConfig(), photon_count=3000, delta=1.5, master_seed=5)
     source = tmp_path / "_kernel.c"  # no cached library beside it
@@ -133,7 +133,6 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-
 def compiler_runtime(name):
     """The path of the C compiler's runtime library ``name``, or None where
     it has none (``-print-file-name`` then echoes the bare name)."""
@@ -187,8 +186,10 @@ def test_kernel_runs_clean_under_the_address_and_undefined_behaviour_sanitizers(
     )
     assert done.returncode == 0, done.stderr[-4000:]
     assert done.stderr == ""
-    expected = [run_mzi(replace(ExperimentConfig(), **overrides))[0] for overrides in BLOCK_EDGE_RUNS]
+    expected = [run_mzi(replace(ExperimentConfig(), **overrides))[0]
+                for overrides in BLOCK_EDGE_RUNS]
     assert done.stdout.splitlines() == [str(counts) for counts in expected]
+
 
 def wrap_cases() -> np.ndarray:
     """About 1.7 million doubles that probe the kernel's phase reduction:
