@@ -85,6 +85,8 @@ def _check_buffers(buffers: Buffers, n: int) -> None:
 # to round as Python's float arithmetic does (see _kernel.c).
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# The most of a failed compile's stderr that its error carries.
+_COMPILER_SAID = 2000
 
 
 def _compiler() -> str | None:
@@ -101,7 +103,9 @@ def _build_kernel() -> Path:
     write their own temporary file and move it into place atomically. Once
     the new library is in place the other ``_kernel-*.so`` there, built from
     an earlier source or flags, are removed; a process that has one loaded
-    keeps its mapping. A missing, failing or hung compiler is an OSError.
+    keeps its mapping. A missing, failing or hung compiler is an OSError,
+    which carries the start of the compiler's stderr; so is a cache
+    directory that cannot be made or written, which the error names.
     """
     import hashlib
 
@@ -115,16 +119,21 @@ def _build_kernel() -> Path:
     cc = _compiler()
     if cc is None:
         raise OSError("no C compiler (cc) on PATH")
-    lib.parent.mkdir(exist_ok=True)
     tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        lib.parent.mkdir(exist_ok=True)
+        tmp.write_bytes(b"")  # the compiler's output file: a cache it cannot write fails here
+    except OSError as exc:
+        raise OSError(f"the kernel cache directory {lib.parent} cannot be written: {exc}") from exc
     try:
         subprocess.run(
             [cc, *_CFLAGS, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp, lib)
-    except subprocess.SubprocessError as exc:  # failed or hung
-        raise OSError(exc) from exc
+    except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:  # failed or hung
+        said = (exc.stderr or b"").decode(errors="replace").strip()[:_COMPILER_SAID]
+        raise OSError(f"{exc}\n{said}" if said else str(exc)) from exc
     finally:
         tmp.unlink(missing_ok=True)
     for stale in lib.parent.glob("_kernel-*.so"):
@@ -189,7 +198,7 @@ def run_single_bs(config: ExperimentConfig) -> Run:
     and ``(emissions, bs1, None)``: each photon's emission time and its BS1
     outcome (1 = reflected). These are exactly the two-splitter run's BS1
     outcomes, as BS1's rule reads neither BS2's state nor ``delta``; the
-    cost is BS2's work, about 1.3 times a BS1-only loop's time.
+    cost is BS2's work, about 1.34 times a BS1-only loop's time.
     """
     _, (emissions, bs1, _) = run_mzi(config)
     d1 = int(np.count_nonzero(bs1))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzsim.config import ConfigError, ExperimentConfig, SplitterConfig
+from mzsim.config import ConfigError, ExperimentConfig, SplitterConfig, config_from_dict
 from mzsim.experiment import (
     default_sweep_deltas,
     derive_child_seed,
@@ -26,7 +26,7 @@ from mzsim.experiment import (
 from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 from reference import listed_bitgen, reference_stream, stream_outcomes
-from test_kernel import assert_same_run, needs_cc
+from test_kernel import EVERY_ARM, assert_same_run, needs_cc
 
 
 def small_config(**overrides):
@@ -273,6 +273,26 @@ def test_stream_loop_matches_reference_where_each_phase_step_passes_4_pi(config)
     gaps = np.diff(emissions, prepend=0.0)
     slowest = min(config.particle_frequency, config.bs1.frequency, config.bs2.frequency)
     assert slowest * gaps.min() > 2 * TWO_PI
+    assert_kernel_fills_the_reference_arrays(config)
+
+
+@needs_cc
+@pytest.mark.parametrize("phase", [None, 7.0, -20.0])
+def test_stream_loop_matches_reference_on_every_arm_of_wrap(phase):
+    """Under EVERY_ARM each site of the kernel's phase reduction takes every
+    arm it can take, so each arm of both flavours, wrap and wrap_m, meets
+    the oracle. Of 2000 photons with drawn phases (counted in a build that
+    tallies the arms), the source's clock step took fmod 1263 times,
+    x - 2*pi 480 and x 257; BS1's update a1*p + b1*s1 took x + 2*pi 117
+    times and x - 2*pi 201; 1076 photons met BS2 by path 2, lag2 = 0.91
+    later. The initial phase takes x when drawn, x - 2*pi at 7.0 and fmod
+    at -20.0."""
+    config = config_from_dict(
+        {**EVERY_ARM, "photon_count": 2000, "particle_initial_phase": phase, "delta": 1.3})
+    _, (emissions, _, _) = run_mzi(config)
+    steps = config.particle_frequency * np.diff(emissions, prepend=0.0)
+    assert steps.max() > 2 * TWO_PI and steps.min() < TWO_PI
+    assert _stream_params(config)[-1] != 0.0  # lag2
     assert_kernel_fills_the_reference_arrays(config)
 
 

@@ -2,8 +2,9 @@
 
 That it fills the same outcome arrays as the oracle in ``reference.py`` is
 checked photon for photon by
-``test_experiment.test_stream_loop_matches_interact_reference``; here its
-phase reduction ``wrap`` is checked against ``phases.wrap_phase`` directly,
+``test_experiment.test_stream_loop_matches_interact_reference``; here both
+flavours of its phase reduction, ``wrap`` and ``wrap_m``, are checked
+against ``phases.wrap_phase`` directly,
 the ``bitgen_t`` layout it draws through against numpy's, and a build under
 the address and undefined-behaviour sanitizers on the runs at its block
 edges.
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from mzsim import experiment
-from mzsim.config import ExperimentConfig
+from mzsim.config import ExperimentConfig, config_from_dict
 from mzsim.experiment import _load_kernel, run_mzi, run_single_bs
 from mzsim.optics import INTER_ARRIVAL_LAWS
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
@@ -43,6 +44,7 @@ def fresh_loader():
 
 # What the error of each failed build says: no compiler, the compile's
 # exit status, or the file that stands where the cache directory goes.
+# Beyond that, the test checks the compiler's stderr and the directory named.
 BUILD_FAILURES = {
     "no-compiler": r"^no C compiler \(cc\) on PATH$",
     "compile-fails": r"returned non-zero exit status 1",
@@ -59,14 +61,26 @@ def test_failed_build_is_an_error_naming_its_cause(tmp_path, monkeypatch, fresh_
     if failure == "no-compiler":
         monkeypatch.setattr(experiment, "_compiler", lambda: None)
     elif failure == "compile-fails":
-        monkeypatch.setattr(experiment, "_compiler", lambda: "false")
+        # a compiler that prints a diagnostic and 3000 more characters
+        fake = tmp_path / "fake-cc"
+        fake.write_text(f"#!{sys.executable}\nimport sys\n"
+                        "sys.stderr.write('_kernel.c:1:1: error: a diagnostic\\n' + 'x' * 3000)\n"
+                        "sys.exit(1)\n")
+        fake.chmod(0o755)
+        monkeypatch.setattr(experiment, "_compiler", lambda: str(fake))
     else:
         (tmp_path / "__pycache__").write_text("")  # a file where the cache goes
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for run in (run_mzi, run_single_bs):
-            with pytest.raises(OSError, match=BUILD_FAILURES[failure]):
+            with pytest.raises(OSError, match=BUILD_FAILURES[failure]) as raised:
                 run(cfg)
+            if failure == "compile-fails":  # the start of the compiler's stderr, 2000 characters
+                said = str(raised.value).split("\n", 1)[1]
+                assert said == "_kernel.c:1:1: error: a diagnostic\n" + "x" * 1965
+            elif failure == "cache-not-writable":
+                assert str(raised.value).startswith(
+                    f"the kernel cache directory {tmp_path / '__pycache__'} cannot be written: ")
     assert caught == []
     assert [p.name for p in tmp_path.rglob("*") if p.suffix in (".so", ".tmp")] == []
 
@@ -142,11 +156,24 @@ def compiler_runtime(name):
     return path if path.is_absolute() and path.is_file() else None
 
 
+# Settings under which the loop's phase reductions take every arm of wrap:
+# at source rate 0.05 most clock steps nu*gap pass 4*pi (fmod), negative
+# update weights make a*p + b*s negative or past 2*pi, and BS2 at a nonzero
+# frequency makes lag2 nonzero. In config_from_dict's form.
+EVERY_ARM = {
+    "source_rate": 0.05,
+    "bs1": {"frequency": 1.0, "update_alpha": -0.5, "update_beta": 1.5},
+    "bs2": {"frequency": 0.7, "update_alpha": -0.5, "update_beta": 1.5},
+}
+
 # Runs at the edges of the kernel's blocks of 512 phases, for each law, with
-# drawn phases and with a fixed one.
+# drawn phases and with a fixed one, in the default setup and under
+# EVERY_ARM; each a config_from_dict argument.
 BLOCK_EDGE_RUNS = [
-    {"photon_count": n, "inter_arrival_law": law, "particle_initial_phase": phase, "delta": 1.3}
-    for n in (1, 511, 512, 513, 2000) for law in INTER_ARRIVAL_LAWS for phase in (None, 7.0)
+    {**setup, "photon_count": n, "inter_arrival_law": law, "particle_initial_phase": phase,
+     "delta": 1.3}
+    for setup in ({}, EVERY_ARM) for n in (1, 511, 512, 513, 2000)
+    for law in INTER_ARRIVAL_LAWS for phase in (None, 7.0)
 ]
 
 
@@ -166,13 +193,12 @@ def test_kernel_runs_clean_under_the_address_and_undefined_behaviour_sanitizers(
     assert done.returncode == 0, done.stderr
     script = (
         "import ast, sys\n"
-        "from dataclasses import replace\n"
         "from pathlib import Path\n"
         "from mzsim import experiment\n"
-        "from mzsim.config import ExperimentConfig\n"
+        "from mzsim.config import config_from_dict\n"
         "experiment._build_kernel = lambda: Path(sys.argv[1])\n"
-        "for overrides in ast.literal_eval(sys.argv[2]):\n"
-        "    print(experiment.run_mzi(replace(ExperimentConfig(), **overrides))[0])\n"
+        "for run in ast.literal_eval(sys.argv[2]):\n"
+        "    print(experiment.run_mzi(config_from_dict(run))[0])\n"
     )
     env = {
         **os.environ,
@@ -186,8 +212,7 @@ def test_kernel_runs_clean_under_the_address_and_undefined_behaviour_sanitizers(
     )
     assert done.returncode == 0, done.stderr[-4000:]
     assert done.stderr == ""
-    expected = [run_mzi(replace(ExperimentConfig(), **overrides))[0]
-                for overrides in BLOCK_EDGE_RUNS]
+    expected = [run_mzi(config_from_dict(run))[0] for run in BLOCK_EDGE_RUNS]
     assert done.stdout.splitlines() == [str(counts) for counts in expected]
 
 
@@ -225,16 +250,11 @@ def wrap_cases() -> np.ndarray:
     ])
 
 
-def kernel_functions():
-    """``(run_stream, wrap_array)`` of the library built from
-    ``experiment._KERNEL_SOURCE``, with their argument types set."""
-    return _load_kernel(), library_wrap_array(experiment._build_kernel())
-
-
-def library_wrap_array(path):
-    """``wrap_array`` of the kernel library at ``path``, with its argument
-    types set."""
-    wrap_array = ctypes.CDLL(str(path)).wrap_array
+def library_wrap_array(path, name="wrap_array"):
+    """``wrap_array`` (the loop's ``wrap``), or the array function ``name``
+    such as ``wrap_masked_array`` (its ``wrap_m``), of the kernel library at
+    ``path``, with its argument types set."""
+    wrap_array = getattr(ctypes.CDLL(str(path)), name)
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     wrap_array.argtypes = [doubles, ctypes.c_int64, doubles]
     wrap_array.restype = None
@@ -274,11 +294,13 @@ def test_bitgen_layout_is_numpys():
 
 
 @needs_cc
-def test_kernel_wrap_equals_wrap_phase_bit_for_bit(fresh_loader):
+def test_kernel_wrap_equals_wrap_phase_bit_for_bit():
     # wrap_phase is x % TWO_PI plus the snap; the bits, zero signs included,
-    # must match, or a phase somewhere in a stream rounds differently
+    # must match for both flavours the loop uses, the branching wrap and the
+    # masked wrap_m, or a phase somewhere in a stream rounds differently
     x = wrap_cases()
     expected = np.array([wrap_phase(v) for v in x.tolist()])
-    got = call_wrap(kernel_functions()[1], x)
-    mismatched = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
-    assert mismatched.size == 0, [(x[i], got[i], expected[i]) for i in mismatched[:5]]
+    for name in ("wrap_array", "wrap_masked_array"):
+        got = call_wrap(library_wrap_array(experiment._build_kernel(), name), x)
+        mismatched = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+        assert mismatched.size == 0, [(name, x[i], got[i], expected[i]) for i in mismatched[:5]]
