@@ -56,31 +56,6 @@ def _delta_bits(delta: float) -> int:
 # single-bs runs.
 Run = tuple[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
-# The arrays a run fills, one entry per photon: the emission times
-# (float64), then the BS1 and BS2 outcomes (int8).
-Buffers = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def photon_buffers(n: int) -> Buffers:
-    """Fresh, unfilled ``(emissions, bs1, bs2)`` for runs of ``n`` photons:
-    10 bytes per photon."""
-    return np.empty(n), np.empty(n, np.int8), np.empty(n, np.int8)
-
-
-def _check_buffers(buffers: Buffers, n: int) -> None:
-    """The loop reads and writes ``n`` entries of each buffer, unchecked;
-    refuse a buffer set that does not hold them. The emissions buffer is
-    left to :func:`~mzsim.optics.generate_emissions`, which checks its
-    ``out`` before drawing into it."""
-    names = ("bs1", "bs2")
-    for name, buf, like in zip(names, buffers[1:], photon_buffers(0)[1:], strict=True):
-        if buf.dtype != like.dtype or buf.shape != (n,) or not buf.flags.c_contiguous:
-            raise ValueError(
-                f"{name} buffer must be a C-contiguous {like.dtype} array of shape ({n},), "
-                f"got {buf.dtype} of shape {buf.shape}"
-            )
-
-
 # The compiled stream loop: its source, and the flags it must be built with
 # to round as Python's float arithmetic does (see _kernel.c).
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
@@ -205,7 +180,7 @@ def run_single_bs(config: ExperimentConfig) -> Run:
     return (d1, bs1.size - d1), (emissions, bs1, None)
 
 
-def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
+def run_mzi(config: ExperimentConfig) -> Run:
     """Full two-splitter run.
 
     Each photon travels ``base_path_length`` to BS1; a reflection there sends
@@ -221,17 +196,14 @@ def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
     turn: uniform on [0, 2*pi), the bits of ``rng.uniform(0.0, TWO_PI)``,
     or the configured ``particle_initial_phase``, unwrapped like a drawn one
     (the loop wraps both). The loop sums the gaps into the emission times
-    in place, so a run holds 10 bytes per photon: ``buffers``, from
-    :func:`photon_buffers` for ``config.photon_count``, filled in place and
-    returned, or its own. The loop is the compiled kernel (``_kernel.c``);
-    where it cannot be built, the run is an OSError (see :func:`_load_kernel`).
+    in place, so a run holds 10 bytes per photon: the arrays it returns.
+    The loop is the compiled kernel (``_kernel.c``); where it cannot be
+    built, the run is an OSError (see :func:`_load_kernel`).
     """
     n = config.photon_count
-    buffers = photon_buffers(n) if buffers is None else buffers
-    emissions, bs1, bs2 = buffers
-    _check_buffers(buffers, n)
     rng = np.random.default_rng(config.master_seed)
-    generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law, out=emissions)
+    emissions = generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law)
+    bs1, bs2 = np.empty(n, np.int8), np.empty(n, np.int8)
     phase = config.particle_initial_phase
     bitgen = rng.bit_generator.ctypes.bit_generator if phase is None else None
     try:
@@ -244,19 +216,10 @@ def run_mzi(config: ExperimentConfig, buffers: Buffers | None = None) -> Run:
     return (d1, n - d1), (emissions, bs1, bs2)
 
 
-def _sweep_points(configs: list[ExperimentConfig]) -> list[tuple[int, int]]:
-    """The ``(d1, d2)`` of one :func:`run_mzi` per config, in order, all
-    through one buffer set (the configs of a sweep share one photon count)."""
-    buffers = photon_buffers(configs[0].photon_count)
-    return [run_mzi(c, buffers)[0] for c in configs]
-
-
-def _contiguous_slices(items: list, parts: int) -> list[list]:
-    """``items`` cut in order into ``parts`` slices whose lengths differ by
-    at most one."""
-    size, extra = divmod(len(items), parts)
-    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
-    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+def _counts(config: ExperimentConfig) -> tuple[int, int]:
+    """The ``(d1, d2)`` of one :func:`run_mzi`: all a sweep point returns,
+    so a pool worker sends back no arrays."""
+    return run_mzi(config)[0]
 
 
 def point_config(config: ExperimentConfig, delta: float) -> ExperimentConfig:
@@ -272,7 +235,7 @@ def point_config(config: ExperimentConfig, delta: float) -> ExperimentConfig:
 
 def pool_size(jobs: int, points: int, cpus: int | None) -> int:
     """Worker processes for a sweep: ``jobs``, but no more than there are
-    points or CPUs (``cpus`` as from :func:`os.cpu_count`), and at least 1."""
+    points or CPUs (``cpus``; None if unknown), and at least 1."""
     return max(1, min(jobs, points, cpus or 1))
 
 
@@ -285,22 +248,21 @@ def run_sweep(
 
     Each point's seed is a pure function of (master_seed, delta), so the
     result for a given delta does not depend on its position in the list and
-    points may be evaluated in parallel: up to ``jobs`` worker processes
-    (see :func:`pool_size`), each taking one contiguous slice of the points.
-    Each worker, or the calling process for a serial sweep, runs its points
-    through one buffer set.
+    points may be evaluated in parallel: up to ``jobs`` worker processes,
+    no more than the CPUs this process may run on (see :func:`pool_size`),
+    each taking at most one contiguous chunk of the points.
     """
     if not deltas:
         raise ValueError("sweep needs at least one delta")
     configs = [point_config(config, d) for d in deltas]
-    workers = pool_size(jobs, len(configs), os.cpu_count())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = pool_size(jobs, len(configs), cpus)
     if workers == 1:
-        return _sweep_points(configs)
+        return list(map(_counts, configs))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        slices = pool.map(_sweep_points, _contiguous_slices(configs, workers))
-        return [counts for part in slices for counts in part]
+        return list(pool.map(_counts, configs, chunksize=-(-len(configs) // workers)))
 
 
 def default_sweep_deltas(

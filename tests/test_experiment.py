@@ -1,5 +1,7 @@
+import concurrent.futures
 import ctypes
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -13,13 +15,11 @@ from mzsim.config import ConfigError, ExperimentConfig, SplitterConfig, config_f
 from mzsim.experiment import (
     default_sweep_deltas,
     derive_child_seed,
-    photon_buffers,
     point_config,
     pool_size,
     run_mzi,
     run_single_bs,
     run_sweep,
-    _contiguous_slices,
     _load_kernel,
     _stream_params,
 )
@@ -127,10 +127,10 @@ def loop():
 @pytest.mark.parametrize("phase", [None, 7.0, -2.0])
 def test_run_leaves_its_draw_in_the_first_two_buffers(loop, law, phase, monkeypatch):
     """A run draws all the gaps from a generator seeded with the master
-    seed, then one phase per photon (none for a configured phase). After
-    it, buffers[0] holds the cumulative sum of those gaps, and the run's
-    generator is where n gaps and then n phases leave a fresh one. The
-    counts are the edges of the kernel's blocks of 512 phases."""
+    seed, then one phase per photon (none for a configured phase). The
+    emission times it returns are the cumulative sum of those gaps, and the
+    run's generator is where n gaps and then n phases leave a fresh one.
+    The counts are the edges of the kernel's blocks of 512 phases."""
     default_rng, generators = np.random.default_rng, []
 
     def recorded_rng(seed):
@@ -141,11 +141,10 @@ def test_run_leaves_its_draw_in_the_first_two_buffers(loop, law, phase, monkeypa
     for n in (1, 511, 512, 513, 2000):
         cfg = small_config(photon_count=n, inter_arrival_law=law, particle_initial_phase=phase,
                            delta=1.3)
-        buffers = photon_buffers(n)
-        run_mzi(cfg, buffers)
+        _, (emissions, _, _) = run_mzi(cfg)
         reference = default_rng(cfg.master_seed)
         gaps = generate_emissions(cfg.source_rate, n, reference, law=law)
-        assert buffers[0].tobytes() == np.cumsum(gaps).tobytes()
+        assert emissions.tobytes() == np.cumsum(gaps).tobytes()
         if phase is None:
             reference.random(n)
         assert generators[-1].bit_generator.state == reference.bit_generator.state
@@ -296,6 +295,26 @@ def test_stream_loop_matches_reference_on_every_arm_of_wrap(phase):
     assert_kernel_fills_the_reference_arrays(config)
 
 
+@needs_cc
+def test_stream_loop_transmits_at_an_exact_pi_difference():
+    """The rule transmits where wrap(p - s) is exactly pi. Here the source's
+    clock steps by one whole turn per gap, BS1's and BS2's stand at 0, both
+    paths are 0 long, and the photon's phase is pi: so p - s1 and p2 - s2
+    are exactly pi for every photon, which transmits at both splitters. A
+    kernel whose BS1 or BS2 took pi as below pi reflects all 1000 there."""
+    config = config_from_dict({
+        "photon_count": 1000, "particle_frequency": TWO_PI, "source_rate": 1.0,
+        "inter_arrival_law": "fixed", "particle_initial_phase": math.pi,
+        "base_path_length": 0.0, "bs1": {"frequency": 0.0}, "delta": 0.0,
+    })
+    nu_p, path1, path2, nu1, _, _, s1, nu2, _, _, c2, lag2 = _stream_params(config)
+    assert wrap_phase(nu_p * 1.0) == path1 == path2 == s1 == c2 == lag2 == nu1 == nu2 == 0.0
+    (d1, d2), (_, bs1, bs2) = run_mzi(config)
+    assert (d1, d2) == (0, 1000)
+    assert not bs1.any() and not bs2.any()
+    assert_kernel_fills_the_reference_arrays(config)
+
+
 @pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
 def test_phase_fixed_at_bs1_offset_reflects_every_photon_at_any_time(loop, law):
     """With the photon's phase fixed at BS1's offset (0) and nu1 = nu_p, the
@@ -349,31 +368,6 @@ def test_stream_loops_snap_initial_phases_just_below_two_pi(configured, config, 
         for stream in (raw, snapped):
             for got, want in zip(stream_outcomes(loop, *stream), expected):
                 np.testing.assert_array_equal(got, want)
-
-
-@settings(max_examples=40, deadline=None)
-@given(first=configs, second=configs)
-def test_runs_through_one_buffer_set_equal_fresh_runs(first, second):
-    """Back to back through one buffer set, each run gives the counts and
-    arrays of a run with fresh arrays: nothing of the one before leaks."""
-    second = replace(second, photon_count=first.photon_count)
-    buffers = photon_buffers(first.photon_count)
-    for config in (first, second):
-        fresh = run_mzi(config)
-        reused = run_mzi(config, buffers)
-        assert_same_run(reused, fresh)
-        assert all(got is buf for got, buf in zip(reused[1], buffers, strict=True))
-
-
-@pytest.mark.parametrize("buffer, bad", [
-    (0, np.empty(99)), (0, np.empty(100, np.float32)), (1, np.empty(101, np.int8)),
-    (2, np.empty(100)), (2, np.empty(200, np.int8)[::2]),
-], ids=["emissions-short", "emissions-float32", "bs1-long", "bs2-float64", "bs2-strided"])
-def test_run_refuses_buffers_that_do_not_fit(buffer, bad):
-    buffers = list(photon_buffers(100))
-    buffers[buffer] = bad
-    with pytest.raises(ValueError, match="must be a C-contiguous"):
-        run_mzi(small_config(photon_count=100), tuple(buffers))
 
 
 def test_reversed_stream_changes_splitter_memory():
@@ -438,27 +432,32 @@ def test_sweep_preserves_input_order():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_equals_one_run_per_point_on_uneven_slices(jobs):
-    # 7 points: a pool of 2 takes slices of 4 and 3, each through one buffer set
+    # 7 points: a pool of 2 takes contiguous chunks of 4 and 3
     cfg = small_config(photon_count=700)
     deltas = [0.0, 0.4, 1.1, 2.5, 3.3, 4.0, 5.9]
     expected = [run_mzi(point_config(cfg, d))[0] for d in deltas]
     assert run_sweep(cfg, deltas, jobs=jobs) == expected
 
 
-@pytest.mark.parametrize("n, parts, lengths", [
-    (7, 2, [4, 3]), (7, 3, [3, 2, 2]), (50, 2, [25, 25]), (3, 3, [1, 1, 1]), (5, 1, [5]),
-])
-def test_contiguous_slices_keep_order_and_differ_by_at_most_one(n, parts, lengths):
-    items = list(range(n))
-    slices = _contiguous_slices(items, parts)
-    assert [len(s) for s in slices] == lengths
-    assert [x for s in slices for x in s] == items
-
-
 def test_sweep_parallel_matches_serial():
     cfg = small_config()
     deltas = [0.0, 1.0, 2.0, 3.0]
     assert run_sweep(cfg, deltas, jobs=2) == run_sweep(cfg, deltas, jobs=1)
+
+
+def test_sweep_on_one_usable_cpu_starts_no_pool(monkeypatch):
+    # jobs=2 on a machine with more CPUs than this process may run on: the
+    # pool is sized by the CPUs in its affinity mask, here one, so no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    cfg = small_config(photon_count=500)
+    deltas = [0.0, 1.0, 2.0, 3.0]
+    serial = run_sweep(cfg, deltas)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run_sweep(cfg, deltas, jobs=2) == serial
 
 
 def test_negative_zero_delta_is_the_same_point():

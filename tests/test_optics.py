@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from mzsim.config import ConfigError, ExperimentConfig
-from mzsim.experiment import photon_buffers, run_mzi
+from mzsim.experiment import run_mzi
 from mzsim.optics import INTER_ARRIVAL_LAWS, generate_emissions
 from mzsim.phases import TWO_PI
 from reference import interact
 
 
 def run_times(**overrides):
-    """The emission times a run leaves in ``buffers[0]``: the stream loop
-    sums ``generate_emissions``' gaps into them."""
+    """The emission times a run returns: the stream loop sums
+    ``generate_emissions``' gaps into them."""
     _, (times, _, _) = run_mzi(replace(ExperimentConfig(), **overrides))
     return times
 
@@ -109,43 +109,16 @@ def test_generate_emissions_is_the_cumulative_sum_of_the_gaps(law):
 
 
 @pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
-@pytest.mark.parametrize("n", [0, 1, 7, 100_000])
-def test_generate_emissions_into_out_is_the_same_draw(law, n):
-    # same bytes, and the generator left in the same state for the draws after
-    rng, reference = np.random.default_rng(23), np.random.default_rng(23)
-    out = np.full(n, np.nan)
-    got = generate_emissions(2.5, n, rng, law=law, out=out)
-    assert got is out
-    assert got.tobytes() == generate_emissions(2.5, n, reference, law=law).tobytes()
-    assert rng.bit_generator.state == reference.bit_generator.state
-
-
-@pytest.mark.parametrize(
-    "out", [np.empty(9), np.empty(11), np.empty(10, np.float32), np.empty((10, 1)),
-            np.empty(20)[::2]],
-    ids=["short", "long", "float32", "2-d", "strided"],
-)
-def test_generate_emissions_refuses_an_out_that_does_not_fit(out):
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="out must be"):
-        generate_emissions(1.0, 10, rng, out=out)
-    assert rng.bit_generator.state == state  # nothing drawn
-
-
-@pytest.mark.parametrize("law", INTER_ARRIVAL_LAWS)
 @pytest.mark.parametrize("rate", [1e-308, 1e-307])  # a gap, or only the sum, overflows
 def test_generate_emissions_overflow_is_inf_without_a_warning(law, rate):
     # the run refuses an infinite time with one error line; a numpy warning
     # printed before it would break that line
     cfg = replace(ExperimentConfig(), photon_count=100, source_rate=rate,
                   inter_arrival_law=law, master_seed=0)
-    buffers = photon_buffers(cfg.photon_count)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="last arrival time inf overflows"):
-            run_mzi(cfg, buffers)
-    assert buffers[0][-1] == math.inf
+            run_mzi(cfg)
 
 
 def test_generate_emissions_bad_args():
