@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 from .optics import INTER_ARRIVAL_LAWS
 
 MAX_SEED = 2**64 - 1
+MAX_PHOTONS = 2**63 - 1  # the stream loop takes its photon count as an int64_t
 _SHOWN = 32  # longest field an error message shows whole; a double's repr fits
 
 
@@ -66,7 +67,11 @@ class SplitterConfig:
 class ExperimentConfig:
     """One run's setup. An instance is always valid: every build, including
     ``dataclasses.replace``, runs the checks in ``__post_init__``, which
-    raise a :class:`ConfigError` naming the offending field."""
+    raise a :class:`ConfigError` naming the offending field. They bound
+    ``photon_count`` by :data:`MAX_PHOTONS`, and each frequency times the
+    longest path, ``2*base_path_length + delta``, which bounds every path a
+    run forms (:meth:`check_phase_range`); only the last emission time is
+    left for the run to check (see :func:`mzsim.experiment.run_mzi`)."""
 
     photon_count: int = 100_000
     source_rate: float = 20.0
@@ -82,8 +87,8 @@ class ExperimentConfig:
     master_seed: int = 42
 
     def __post_init__(self) -> None:
-        if not _integer(self.photon_count) or self.photon_count < 1:
-            raise _invalid("photon_count", "an integer >= 1", self.photon_count)
+        if not _integer(self.photon_count) or not 1 <= self.photon_count <= MAX_PHOTONS:
+            raise _invalid("photon_count", "an integer in [1, 2**63)", self.photon_count)
         if not (_finite(self.source_rate) and self.source_rate > 0.0):
             raise _invalid("source_rate", "finite and > 0", self.source_rate)
         if self.inter_arrival_law not in INTER_ARRIVAL_LAWS:
@@ -112,6 +117,16 @@ class ExperimentConfig:
             raise _invalid("delta", "finite and >= 0", self.delta)
         if not _integer(self.master_seed) or not (0 <= self.master_seed <= MAX_SEED):
             raise _invalid("master_seed", "an integer in [0, 2**64)", self.master_seed)
+        self.check_phase_range("the longest path", 2.0 * self.base_path_length + self.delta)
+
+    def check_phase_range(self, what: str, length: float) -> None:
+        """Refuse a ``length``, named ``what``, that some frequency turns into a
+        phase that is not finite: ``inf % 2pi`` is NaN, and a NaN phase
+        comparison silently transmits every photon."""
+        frequencies = (self.particle_frequency, self.bs1.frequency, self.bs2.frequency)
+        for name, nu in zip(("particle_frequency", "bs1.frequency", "bs2.frequency"), frequencies):
+            if not math.isfinite(nu * length):
+                raise ConfigError(f"{name} {nu!r} times {what} {length!r} overflows")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -145,6 +160,8 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path} is not UTF-8 text") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
     try:
         data = json.loads(text) if text.strip() else {}
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .optics import generate_emissions
 from .phases import TWO_PI, wrap_phase
 
@@ -148,24 +148,6 @@ def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
     )
 
 
-def _check_phase_range(config: ExperimentConfig, last_emission: float) -> None:
-    """Every ``nu*gap`` the loop forms, and ``nu*path`` the run forms for it
-    (:func:`_stream_params`), must be finite: ``inf % 2pi`` is NaN, and a NaN
-    phase comparison silently transmits every photon. Each gap and each path
-    is at most the last arrival time ``t_max``, so a finite ``nu*t_max``
-    bounds them all. (An infinite ``t_max`` fails on ``particle_frequency`` > 0.)
-    The run checks this after the loop, whose sum gives the last emission
-    time; where it fails, the outcomes the loop filled are discarded."""
-    t_max = last_emission + 2.0 * config.base_path_length + config.delta
-    for name, nu in (
-        ("particle_frequency", config.particle_frequency),
-        ("bs1.frequency", config.bs1.frequency),
-        ("bs2.frequency", config.bs2.frequency),
-    ):
-        if not math.isfinite(nu * t_max):
-            raise ConfigError(f"{name} {nu!r} times the last arrival time {t_max!r} overflows")
-
-
 def run_single_bs(config: ExperimentConfig) -> Run:
     """The first splitter's view of a :func:`run_mzi` run.
 
@@ -198,7 +180,9 @@ def run_mzi(config: ExperimentConfig) -> Run:
     (the loop wraps both). The loop sums the gaps into the emission times
     in place, so a run holds 10 bytes per photon: the arrays it returns.
     The loop is the compiled kernel (``_kernel.c``); where it cannot be
-    built, the run is an OSError (see :func:`_load_kernel`).
+    built, the run is an OSError (see :func:`_load_kernel`). Each gap the
+    loop steps a phase by is at most the last emission time, which the run
+    then checks (:meth:`~mzsim.config.ExperimentConfig.check_phase_range`).
     """
     n = config.photon_count
     rng = np.random.default_rng(config.master_seed)
@@ -206,12 +190,9 @@ def run_mzi(config: ExperimentConfig) -> Run:
     bs1, bs2 = np.empty(n, np.int8), np.empty(n, np.int8)
     phase = config.particle_initial_phase
     bitgen = rng.bit_generator.ctypes.bit_generator if phase is None else None
-    try:
-        params = _stream_params(config)
-    except ValueError:  # some nu*path overflows, which the check below refuses
-        params = (math.nan,) * 12
-    _load_kernel()(emissions, n, bitgen, 0.0 if phase is None else phase, *params, bs1, bs2)
-    _check_phase_range(config, float(emissions[-1]))
+    _load_kernel()(emissions, n, bitgen, 0.0 if phase is None else phase,
+                   *_stream_params(config), bs1, bs2)
+    config.check_phase_range("the last emission time", float(emissions[-1]))
     d1 = int(np.count_nonzero(bs2))
     return (d1, n - d1), (emissions, bs1, bs2)
 

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import binomial_ci
-from .config import _SHOWN, ExperimentConfig, _brief
+from .config import _SHOWN, MAX_PHOTONS, ExperimentConfig, _brief
 
 SCHEMA_VERSION = "1"
 CSV_COLUMNS = ("delta", "d1", "d2", "d1_fraction", "ci_lo", "ci_hi")
 CHILD_SEED_FUNCTION = "splitmix64"
-_MAX_PHOTONS = 2**63 - 1  # the stream loop takes its photon count as an int64_t
 
 
 def _parse_error(row: list[str], exc: ValueError) -> str:
@@ -57,7 +56,7 @@ def _sweep_row(row: list[str]) -> tuple[float, int, int]:
         raise ValueError(f"delta {_brief(row[0])} is not finite")
     if not (math.isfinite(ci_lo) and math.isfinite(ci_hi)):
         raise ValueError(f"interval [{_brief(row[4])}, {_brief(row[5])}] is not finite")
-    if d1 < 0 or d2 < 0 or not 0 < d1 + d2 <= _MAX_PHOTONS:
+    if d1 < 0 or d2 < 0 or not 0 < d1 + d2 <= MAX_PHOTONS:
         raise ValueError(f"counts d1={_brief(str(d1))}, d2={_brief(str(d2))} are not a sample")
     expected = d1 / (d1 + d2)
     if fraction != expected:
@@ -135,12 +134,13 @@ def read_sweep_csv(path: str | os.PathLike) -> list[tuple[float, int, int]]:
     :func:`write_csv`.
 
     Every row must have all six fields, a finite delta and finite interval
-    bounds, integer counts with a total from 1 to ``2**63 - 1`` (the most
-    photons a run can count), and a ``d1_fraction`` equal to ``d1/(d1+d2)``;
-    anything else, a field over the ``csv`` module's size limit included, is
-    a ValueError naming the file and line, and so is a file that is not
-    UTF-8 text (a leading byte-order mark is skipped). The fraction and
-    interval are recomputed from the counts wherever they are used.
+    bounds, integer counts with a total from 1 to
+    :data:`~mzsim.config.MAX_PHOTONS` (``2**63 - 1``, the most photons a run
+    can count), and a ``d1_fraction`` equal to ``d1/(d1+d2)``; anything
+    else, a field over the ``csv`` module's size limit included, is a
+    ValueError naming the file and line, and so is a file that is not UTF-8
+    text (a leading byte-order mark is skipped). The fraction and interval
+    are recomputed from the counts wherever they are used.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:

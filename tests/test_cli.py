@@ -13,7 +13,7 @@ from mzsim import cli, experiment
 from mzsim.analysis import binomial_ci
 from mzsim.cli import main
 from mzsim.output import write_csv
-from test_kernel import fresh_loader, needs_cc  # noqa: F401 (fresh_loader is a fixture)
+from test_kernel import fresh_loader  # noqa: F401 (a fixture)
 from test_output import LARGE_COUNT_ROWS
 
 
@@ -36,7 +36,6 @@ def test_importing_the_cli_leaves_out_the_process_pool_and_subprocess():
     assert done.stdout.strip() == "[]"
 
 
-@needs_cc
 def test_a_sweep_and_its_analysis_leave_out_numpy_ma_statistics_and_subprocess(tmp_path):
     # With the kernel cached, loading it needs no subprocess; the fit needs
     # no numpy.ma (which np.unique imports) and the confidence interval no
@@ -405,6 +404,13 @@ def test_missing_config_file_is_a_single_line_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_config_path_that_cannot_be_read_is_a_single_line_error(tmp_path, capsys):
+    assert run_cli("mzi", "--config", str(tmp_path)) == 1  # a directory
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config file {tmp_path} cannot be read: Is a directory\n"
+
+
 def test_wrong_json_type_in_config_is_a_single_line_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"source_rate": "20"}))
@@ -421,7 +427,8 @@ def test_wrong_json_type_in_config_is_a_single_line_error(tmp_path, capsys):
      ({"bs1": {"x" * 100_000: 1}}, "unknown config key bs1.'xxxxxxxxxxxxxxx... (100002 characters)"),
      ({"a\nb": 1}, "unknown config key 'a\\nb'"),
      ({"bs1": {"a\nb": 1}}, "unknown config key bs1.'a\\nb'"),
-     ({"photon_count": "1" * 100_000}, "photon_count must be an integer >= 1, got '111")],
+     ({"photon_count": "1" * 100_000},
+      "photon_count must be an integer in [1, 2**63), got '111")],
     ids=["long-law", "long-key", "long-bs1-key", "newline-key", "bs1-newline-key",
          "long-string-photon-count"],
 )
@@ -456,7 +463,7 @@ def test_config_json_python_cannot_parse_is_a_single_line_error(tmp_path, capsys
     [({"bs1": {"frequency": 1e308}}, "bs1.frequency"),
      ({"particle_frequency": 1e308}, "particle_frequency"),
      ({"bs2": {"update_alpha": 1e308}}, "bs2 update coefficients"),
-     ({"source_rate": 1e-308}, "particle_frequency 1.0 times the last arrival time inf")],
+     ({"source_rate": 1e-308}, "particle_frequency 1.0 times the last emission time inf")],
 )
 def test_phase_overflow_is_a_single_line_error(tmp_path, capsys, patch, field):
     # inf % 2pi is NaN, and a NaN phase would silently transmit every photon

@@ -105,6 +105,9 @@ def test_dict_round_trip():
         ({"bs2": {"update_alpha": 1e308}}, "bs2"),
         ({"particle_initial_phase": math.inf}, "particle_initial_phase"),
         ({"bs2": {"initial_offset": math.nan}}, "bs2.initial_offset"),
+        ({"photon_count": 2**63}, "photon_count"),
+        ({"particle_frequency": 10.0, "delta": 1e308}, "particle_frequency"),
+        ({"bs1": {"frequency": 1e308}}, "bs1.frequency"),
     ],
 )
 def test_validation_names_offending_field(patch, field):

@@ -26,7 +26,7 @@ from mzsim.experiment import (
 from mzsim.optics import generate_emissions
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 from reference import listed_bitgen, reference_stream, stream_outcomes
-from test_kernel import EVERY_ARM, assert_same_run, needs_cc
+from test_kernel import EVERY_ARM, assert_same_run
 
 
 def small_config(**overrides):
@@ -151,15 +151,26 @@ def test_run_leaves_its_draw_in_the_first_two_buffers(loop, law, phase, monkeypa
 
 
 def test_run_refuses_a_path_phase_that_overflows(loop):
-    # nu*base_path_length is inf before any photon runs; the run still sums
-    # the times and refuses it with the one message, on the last time
-    cfg = small_config(photon_count=100, base_path_length=1e308, particle_frequency=10.0)
-    with pytest.raises(ConfigError, match="^particle_frequency 10.0 times the last arrival "
-                                          "time inf overflows$"):
-        run_mzi(cfg)
+    # nu*base_path_length is inf, so the config is refused before any run
+    with pytest.raises(ConfigError, match="^particle_frequency 10.0 times the longest path "
+                                          "inf overflows$"):
+        small_config(photon_count=100, base_path_length=1e308, particle_frequency=10.0)
 
 
-@needs_cc
+@pytest.mark.parametrize("law", ["exponential", "uniform", "fixed"])
+def test_run_goes_ahead_where_only_last_time_plus_longest_path_overflows(law):
+    # nu*last and nu*(2*base + delta) are each finite, but their sum is not;
+    # the loop forms no such sum, so the run goes ahead, and the oracle,
+    # whose wrap_phase raises on any phase that is not finite, agrees
+    cfg = small_config(photon_count=100, source_rate=100 / 1.2e308, inter_arrival_law=law,
+                       delta=1.5e308)
+    (d1, d2), (emissions, _, _) = run_mzi(cfg)
+    last, longest = float(emissions[-1]), 2.0 * cfg.base_path_length + cfg.delta
+    assert math.isfinite(last) and math.isinf(last + longest)
+    assert d1 > 0 and d2 > 0  # NaN phases would transmit every photon
+    assert_kernel_fills_the_reference_arrays(cfg)
+
+
 def test_run_memory_is_10_bytes_per_photon():
     # the emission times and the two outcome arrays, and a fixed slack: the
     # peak read 2,006,288 bytes (10.03 per photon). A run that also held its
@@ -218,7 +229,6 @@ def assert_kernel_fills_the_reference_arrays(config):
         np.testing.assert_array_equal(got, expected)
 
 
-@needs_cc
 @settings(max_examples=60, deadline=None)
 @given(config=configs)
 def test_stream_loop_matches_interact_reference(config):
@@ -227,7 +237,6 @@ def test_stream_loop_matches_interact_reference(config):
     assert_kernel_fills_the_reference_arrays(config)
 
 
-@needs_cc
 @settings(max_examples=40, deadline=None)
 @given(config=configs, bs2=splitters, delta=st.floats(0.0, 50.0))
 def test_bs1_outcomes_do_not_depend_on_bs2_or_delta(config, bs2, delta):
@@ -261,7 +270,6 @@ fast_streams = st.builds(
 )
 
 
-@needs_cc
 @settings(max_examples=20, deadline=None)
 @given(config=fast_streams)
 def test_stream_loop_matches_reference_where_each_phase_step_passes_4_pi(config):
@@ -275,7 +283,6 @@ def test_stream_loop_matches_reference_where_each_phase_step_passes_4_pi(config)
     assert_kernel_fills_the_reference_arrays(config)
 
 
-@needs_cc
 @pytest.mark.parametrize("phase", [None, 7.0, -20.0])
 def test_stream_loop_matches_reference_on_every_arm_of_wrap(phase):
     """Under EVERY_ARM each site of the kernel's phase reduction takes every
@@ -295,7 +302,6 @@ def test_stream_loop_matches_reference_on_every_arm_of_wrap(phase):
     assert_kernel_fills_the_reference_arrays(config)
 
 
-@needs_cc
 def test_stream_loop_transmits_at_an_exact_pi_difference():
     """The rule transmits where wrap(p - s) is exactly pi. Here the source's
     clock steps by one whole turn per gap, BS1's and BS2's stand at 0, both
@@ -338,7 +344,6 @@ below_two_pi = st.floats(TWO_PI - WRAP_SNAP, TWO_PI, exclude_min=True, exclude_m
 turns_below_one = st.integers(1, 1400).map(lambda k: 1.0 - k * 2.0**-53)
 
 
-@needs_cc
 @pytest.mark.parametrize("configured", [False, True], ids=["mzi", "particle-initial-phase"])
 @settings(max_examples=30, deadline=None)
 @given(config=configs, data=st.data())
@@ -492,6 +497,10 @@ def test_sweep_rejects_a_bad_delta_before_any_run(monkeypatch):
     monkeypatch.setattr("mzsim.experiment.run_mzi", counting_run_mzi)
     with pytest.raises(ConfigError, match="delta"):
         run_sweep(small_config(), [0.0, -1.0])
+    # a finite delta whose longest path overflows a phase
+    with pytest.raises(ConfigError, match=r"^particle_frequency 10.0 times the longest path "
+                                          r"1e\+308 overflows$"):
+        run_sweep(small_config(particle_frequency=10.0), [0.0, 1e308])
     assert runs == []
 
 

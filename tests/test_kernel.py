@@ -32,7 +32,6 @@ from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 from reference import Bitgen
 
 CC = shutil.which("cc")
-needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH")
 
 
 @pytest.fixture
@@ -85,7 +84,6 @@ def test_failed_build_is_an_error_naming_its_cause(tmp_path, monkeypatch, fresh_
     assert [p.name for p in tmp_path.rglob("*") if p.suffix in (".so", ".tmp")] == []
 
 
-@needs_cc
 def test_concurrent_first_compile_leaves_one_library(tmp_path):
     # Three fresh interpreters, no cached library: all compile at once.
     pkg = tmp_path / "mzsim"
@@ -121,7 +119,6 @@ def test_concurrent_first_compile_leaves_one_library(tmp_path):
     assert len(left) == 1 and fnmatch(left[0], "_kernel-*.so"), left
 
 
-@needs_cc
 def test_rebuild_after_an_edit_leaves_one_library(tmp_path, monkeypatch):
     source = tmp_path / "_kernel.c"
     shutil.copyfile(experiment._KERNEL_SOURCE, source)
@@ -136,7 +133,6 @@ def test_rebuild_after_an_edit_leaves_one_library(tmp_path, monkeypatch):
     assert call_wrap(wrap_array, np.array([-1.0, 7.0])).tolist() == [wrap_phase(-1.0), wrap_phase(7.0)]
 
 
-@needs_cc
 def test_kernel_compiles_without_warnings(tmp_path):
     done = subprocess.run(
         [CC, *experiment._CFLAGS, "-Wall", "-Wextra", "-Wconversion", "-Wdouble-promotion",
@@ -177,7 +173,6 @@ BLOCK_EDGE_RUNS = [
 ]
 
 
-@needs_cc
 def test_kernel_runs_clean_under_the_address_and_undefined_behaviour_sanitizers(tmp_path):
     # An out-of-bounds access or undefined arithmetic in run_stream aborts
     # the sanitized build's process; its counts must still be the kernel's.
@@ -293,7 +288,6 @@ def test_bitgen_layout_is_numpys():
     assert address(source.next_double) == address(interface.next_double)
 
 
-@needs_cc
 def test_kernel_wrap_equals_wrap_phase_bit_for_bit():
     # wrap_phase is x % TWO_PI plus the snap; the bits, zero signs included,
     # must match for both flavours the loop uses, the branching wrap and the

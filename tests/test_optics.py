@@ -117,7 +117,7 @@ def test_generate_emissions_overflow_is_inf_without_a_warning(law, rate):
                   inter_arrival_law=law, master_seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match="last arrival time inf overflows"):
+        with pytest.raises(ConfigError, match="last emission time inf overflows"):
             run_mzi(cfg)
 
 
