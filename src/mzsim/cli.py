@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[run], help="sweep the path-length difference")
     p.add_argument(
         "--parallel", type=int, default=1, metavar="K",
-        help="worker processes for sweep points",
+        help="worker threads for sweep points",
     )
     p.add_argument("--steps", type=int, default=50, metavar="N", help="sweep points (default 50)")
     p.add_argument(

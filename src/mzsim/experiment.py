@@ -17,6 +17,7 @@ import functools
 import math
 import os
 import struct
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,6 +63,8 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 # The most of a failed compile's stderr that its error carries.
 _COMPILER_SAID = 2000
+# Held while a thread checks for, or compiles, the library.
+_BUILD_LOCK = threading.Lock()
 
 
 def _compiler() -> str | None:
@@ -74,47 +77,50 @@ def _build_kernel() -> Path:
     """Path of the compiled kernel in ``__pycache__``, compiling it if absent.
 
     The file name carries a hash of the source and flags, so an edit to
-    either builds a new library. Processes compiling at the same time each
-    write their own temporary file and move it into place atomically. Once
-    the new library is in place the other ``_kernel-*.so`` there, built from
-    an earlier source or flags, are removed; a process that has one loaded
-    keeps its mapping. A missing, failing or hung compiler is an OSError,
-    which carries the start of the compiler's stderr; so is a cache
-    directory that cannot be made or written, which the error names.
+    either builds a new library. The threads of a process build one at a
+    time, so a thread that waited loads the library the first one built.
+    Processes compiling at the same time each write their own temporary
+    file and move it into place atomically. Once the new library is in
+    place the other ``_kernel-*.so`` there, built from an earlier source or
+    flags, are removed; a process that has one loaded keeps its mapping.
+    A missing, failing or hung compiler is an OSError, which carries the
+    start of the compiler's stderr; so is a cache directory that cannot be
+    made or written, which the error names.
     """
     import hashlib
 
     source = _KERNEL_SOURCE.read_bytes()
     key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
     lib = _KERNEL_SOURCE.with_name("__pycache__") / f"_kernel-{key}.so"
-    if lib.exists():
-        return lib
-    import subprocess  # only to compile: a cached library loads without it
+    with _BUILD_LOCK:
+        if lib.exists():
+            return lib
+        import subprocess  # only to compile: a cached library loads without it
 
-    cc = _compiler()
-    if cc is None:
-        raise OSError("no C compiler (cc) on PATH")
-    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
-    try:
-        lib.parent.mkdir(exist_ok=True)
-        tmp.write_bytes(b"")  # the compiler's output file: a cache it cannot write fails here
-    except OSError as exc:
-        raise OSError(f"the kernel cache directory {lib.parent} cannot be written: {exc}") from exc
-    try:
-        subprocess.run(
-            [cc, *_CFLAGS, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"],
-            check=True, capture_output=True, timeout=120,
-        )
-        os.replace(tmp, lib)
-    except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:  # failed or hung
-        said = (exc.stderr or b"").decode(errors="replace").strip()[:_COMPILER_SAID]
-        raise OSError(f"{exc}\n{said}" if said else str(exc)) from exc
-    finally:
-        tmp.unlink(missing_ok=True)
-    for stale in lib.parent.glob("_kernel-*.so"):
-        if stale != lib:
-            stale.unlink(missing_ok=True)
-    return lib
+        cc = _compiler()
+        if cc is None:
+            raise OSError("no C compiler (cc) on PATH")
+        tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+        try:
+            lib.parent.mkdir(exist_ok=True)
+            tmp.write_bytes(b"")  # the compiler's output file: a cache it cannot write fails here
+        except OSError as exc:
+            raise OSError(f"the kernel cache directory {lib.parent} cannot be written: {exc}") from exc
+        try:
+            subprocess.run(
+                [cc, *_CFLAGS, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"],
+                check=True, capture_output=True, timeout=120,
+            )
+            os.replace(tmp, lib)
+        except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:  # failed or hung
+            said = (exc.stderr or b"").decode(errors="replace").strip()[:_COMPILER_SAID]
+            raise OSError(f"{exc}\n{said}" if said else str(exc)) from exc
+        finally:
+            tmp.unlink(missing_ok=True)
+        for stale in lib.parent.glob("_kernel-*.so"):
+            if stale != lib:
+                stale.unlink(missing_ok=True)
+        return lib
 
 
 @functools.cache
@@ -198,8 +204,8 @@ def run_mzi(config: ExperimentConfig) -> Run:
 
 
 def _counts(config: ExperimentConfig) -> tuple[int, int]:
-    """The ``(d1, d2)`` of one :func:`run_mzi`: all a sweep point returns,
-    so a pool worker sends back no arrays."""
+    """The ``(d1, d2)`` of one :func:`run_mzi`: all a sweep point keeps, so
+    its arrays are freed as soon as it is counted."""
     return run_mzi(config)[0]
 
 
@@ -215,7 +221,7 @@ def point_config(config: ExperimentConfig, delta: float) -> ExperimentConfig:
 
 
 def pool_size(jobs: int, points: int, cpus: int | None) -> int:
-    """Worker processes for a sweep: ``jobs``, but no more than there are
+    """Worker threads for a sweep: ``jobs``, but no more than there are
     points or CPUs (``cpus``; None if unknown), and at least 1."""
     return max(1, min(jobs, points, cpus or 1))
 
@@ -229,9 +235,9 @@ def run_sweep(
 
     Each point's seed is a pure function of (master_seed, delta), so the
     result for a given delta does not depend on its position in the list and
-    points may be evaluated in parallel: up to ``jobs`` worker processes,
-    no more than the CPUs this process may run on (see :func:`pool_size`),
-    each taking at most one contiguous chunk of the points.
+    points may be evaluated in parallel: up to ``jobs`` worker threads, no
+    more than the CPUs this process may run on (see :func:`pool_size`),
+    each taking the next point and running its loop without the GIL.
     """
     if not deltas:
         raise ValueError("sweep needs at least one delta")
@@ -240,10 +246,10 @@ def run_sweep(
     workers = pool_size(jobs, len(configs), cpus)
     if workers == 1:
         return list(map(_counts, configs))
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_counts, configs, chunksize=-(-len(configs) // workers)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_counts, configs))
 
 
 def default_sweep_deltas(

@@ -465,15 +465,22 @@ def test_config_json_python_cannot_parse_is_a_single_line_error(tmp_path, capsys
      ({"bs2": {"update_alpha": 1e308}}, "bs2 update coefficients"),
      ({"source_rate": 1e-308}, "particle_frequency 1.0 times the last emission time inf")],
 )
-def test_phase_overflow_is_a_single_line_error(tmp_path, capsys, patch, field):
+def test_phase_overflow_is_a_single_line_error(tmp_path, monkeypatch, capsys, patch, field):
     # inf % 2pi is NaN, and a NaN phase would silently transmit every photon
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(patch))
-    assert run_cli("single-bs", "--config", str(cfg_path), "--photons", "100") == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: " + field)
-    assert len(captured.err.strip().splitlines()) == 1
+    commands = [["single-bs"]]
+    if "source_rate" in patch:  # found after a run: in a parallel sweep, in a worker thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        commands.append(["sweep", "--steps", "4", "--parallel", "2"])
+    for command in commands:
+        assert run_cli(*command, "--config", str(cfg_path), "--photons", "100") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + field)
+        assert len(captured.err.strip().splitlines()) == 1
+        if "source_rate" in patch:
+            assert captured.err == f"error: {field} overflows\n"
 
 
 def test_invalid_photon_count_is_reported(capsys):

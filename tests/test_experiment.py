@@ -437,7 +437,7 @@ def test_sweep_preserves_input_order():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_equals_one_run_per_point_on_uneven_slices(jobs):
-    # 7 points: a pool of 2 takes contiguous chunks of 4 and 3
+    # 7 points over a pool of 2 workers, which cannot share them evenly
     cfg = small_config(photon_count=700)
     deltas = [0.0, 0.4, 1.1, 2.5, 3.3, 4.0, 5.9]
     expected = [run_mzi(point_config(cfg, d))[0] for d in deltas]
@@ -454,14 +454,28 @@ def test_sweep_on_one_usable_cpu_starts_no_pool(monkeypatch):
     # jobs=2 on a machine with more CPUs than this process may run on: the
     # pool is sized by the CPUs in its affinity mask, here one, so no pool
     def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+        raise AssertionError("a thread pool was started")
 
     cfg = small_config(photon_count=500)
     deltas = [0.0, 1.0, 2.0, 3.0]
     serial = run_sweep(cfg, deltas)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert run_sweep(cfg, deltas, jobs=2) == serial
+
+
+def test_parallel_sweep_forks_nothing(monkeypatch):
+    # The workers are threads of this process: nothing is forked, so no
+    # config or count is pickled and no interpreter is started.
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    cfg = small_config(photon_count=500)
+    deltas = [0.0, 0.9, 1.8, 2.7, 3.6]
+    serial = run_sweep(cfg, deltas)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert run_sweep(cfg, deltas, jobs=2) == serial
 
 

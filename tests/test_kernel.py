@@ -16,7 +16,9 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fnmatch import fnmatch
 from pathlib import Path
@@ -26,7 +28,7 @@ import pytest
 
 from mzsim import experiment
 from mzsim.config import ExperimentConfig, config_from_dict
-from mzsim.experiment import _load_kernel, run_mzi, run_single_bs
+from mzsim.experiment import _load_kernel, run_mzi, run_single_bs, run_sweep
 from mzsim.optics import INTER_ARRIVAL_LAWS
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 from reference import Bitgen
@@ -117,6 +119,51 @@ def test_concurrent_first_compile_leaves_one_library(tmp_path):
     assert sum(ast.literal_eval(outputs[0][0])) == 3000
     left = [p.name for p in (pkg / "__pycache__").iterdir()]
     assert len(left) == 1 and fnmatch(left[0], "_kernel-*.so"), left
+
+
+def test_cold_parallel_sweep_compiles_once(tmp_path, monkeypatch, fresh_loader):
+    # Two worker threads load the kernel at once from a cold cache: the
+    # second waits for the first one's library instead of compiling its own.
+    cfg = replace(ExperimentConfig(), photon_count=500, master_seed=9)
+    deltas = [0.0, 0.8, 1.6, 2.4, 3.2, 4.0]
+    serial = run_sweep(cfg, deltas)
+    _load_kernel.cache_clear()
+    source = tmp_path / "_kernel.c"  # no cached library beside it
+    shutil.copyfile(experiment._KERNEL_SOURCE, source)
+    monkeypatch.setattr(experiment, "_KERNEL_SOURCE", source)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    compiles = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        compiles.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    assert run_sweep(cfg, deltas, jobs=2) == serial
+    assert len(compiles) == 1
+    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [
+        experiment._build_kernel().name
+    ]
+
+    # More threads than cores, switching every microsecond, released at once.
+    _load_kernel.cache_clear()
+    (tmp_path / "__pycache__" / experiment._build_kernel().name).unlink()
+    barrier = threading.Barrier(6)
+
+    def load():
+        barrier.wait(timeout=60)
+        return _load_kernel()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            for future in [pool.submit(load) for _ in range(6)]:
+                future.result(timeout=120)  # raises what that load raised
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(compiles) == 2
 
 
 def test_rebuild_after_an_edit_leaves_one_library(tmp_path, monkeypatch):
