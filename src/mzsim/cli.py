@@ -11,7 +11,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import SineFit, binomial_ci, compare_to_qm, fit_sine, visibility
@@ -90,10 +90,12 @@ def _out_format(args: argparse.Namespace) -> str:
 
 
 def _check_out(args: argparse.Namespace) -> None:
-    """Refuse an ``--out`` that is empty, is a directory (or names one, by a
-    trailing separator) or whose directory does not exist before the run,
-    not after it."""
+    """Refuse a ``--format`` with no ``--out``, and an ``--out`` that is
+    empty, is a directory (or names one, by a trailing separator) or whose
+    directory does not exist, before the run, not after it."""
     if args.out is None:
+        if args.format is not None:
+            raise ValueError("--format needs --out PATH")
         return
     if not args.out:
         raise OSError("cannot write: the --out path is empty")
@@ -105,9 +107,9 @@ def _check_out(args: argparse.Namespace) -> None:
 
 
 def _emit(args: argparse.Namespace, kind: str, cfg: ExperimentConfig,
-          rows: list[tuple[float, int, int]], analysis: dict, trace=None) -> None:
+          rows: list[tuple[float, int, int]], **parts) -> None:
     if _out_format(args) == "json":
-        write_json(build_record(kind, cfg, rows, analysis, trace), args.out)
+        write_json(build_record(kind, cfg, rows, **parts), args.out)
     else:
         write_csv(rows, args.out)
 
@@ -124,7 +126,7 @@ def _print_fit(fit: SineFit, digits: int) -> None:
 def _run_one(args: argparse.Namespace) -> int:
     """``single-bs`` and ``mzi``: one run, named by the subcommand."""
     if args.trace and not (args.out and _out_format(args) == "json"):
-        raise ValueError("--trace needs JSON output (--out PATH.json or --format json)")
+        raise ValueError("--trace needs JSON output (--out PATH.json, or --out PATH --format json)")
     _check_out(args)
     kind = args.command
     cfg = _effective_config(args)
@@ -133,8 +135,7 @@ def _run_one(args: argparse.Namespace) -> int:
     frac = d1 / (d1 + d2)
     lo, hi = binomial_ci(d1, d1 + d2)
     if args.out:
-        analysis = {"d1_fraction": frac, "ci_lo": lo, "ci_hi": hi, "confidence": 0.95}
-        _emit(args, kind, cfg, [(cfg.delta, d1, d2)], analysis, trace if args.trace else None)
+        _emit(args, kind, cfg, [(cfg.delta, d1, d2)], trace=trace if args.trace else None)
     print(
         f"{kind}: photons={d1 + d2} d1={d1} d2={d2} "
         f"d1_fraction={frac:.6f} ci95=[{lo:.6f}, {hi:.6f}]"
@@ -151,19 +152,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fit = fit_sine(deltas, fractions)
     qm = compare_to_qm(deltas, fractions, cfg.particle_frequency)
     if args.out:
-        analysis = {
-            "visibility": qm.model_visibility,
-            "fit": None if fit is None else asdict(fit),
-            "qm": {
-                "ideal_period": qm.ideal_period,
-                "fitted_period": qm.fitted_period,
-                "model_visibility": qm.model_visibility,
-                "visibility_gap": 1.0 - qm.model_visibility,
-                "max_abs_residual": max(abs(r) for r in qm.residuals),
-            },
-        }
         rows = [(delta, d1, d2) for delta, (d1, d2) in zip(deltas, counts)]
-        _emit(args, "sweep", cfg, rows, analysis)
+        _emit(args, "sweep", cfg, rows, fit=fit, qm=qm)
     print(
         f"sweep: {len(deltas)} points, photons/point={cfg.photon_count}, "
         f"visibility={qm.model_visibility:.4f}"

@@ -3,9 +3,9 @@
 The CSV table is the plotting contract: exactly the columns
 ``delta,d1,d2,d1_fraction,ci_lo,ci_hi``, one row per sweep point, floats at
 full (round-trippable) precision. It is written from the same ``(delta, d1,
-d2)`` rows it is read back as. JSON carries the complete record including
-config echo and provenance; the timestamp lives only in the JSON form, so
-identical runs produce byte-identical CSV files.
+d2)`` rows it is read back as. JSON carries the complete record: those rows
+as its points, config echo, a sweep's fit, and provenance; the timestamp
+lives only in the JSON form, so identical runs give byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .analysis import binomial_ci
+from .analysis import QmComparison, SineFit, binomial_ci
 from .config import _SHOWN, MAX_PHOTONS, ExperimentConfig, _brief
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 CSV_COLUMNS = ("delta", "d1", "d2", "d1_fraction", "ci_lo", "ci_hi")
 CHILD_SEED_FUNCTION = "splitmix64"
 
@@ -64,18 +64,27 @@ def _sweep_row(row: list[str]) -> tuple[float, int, int]:
     return delta, d1, d2
 
 
+def _csv_row(delta: float, d1: int, d2: int) -> tuple:
+    """A point's results-table row, in :data:`CSV_COLUMNS` order: its
+    ``(delta, d1, d2)``, D1 fraction and 95% interval."""
+    return (delta, d1, d2, d1 / (d1 + d2), *binomial_ci(d1, d1 + d2))
+
+
 def build_record(
     kind: str,
     config: ExperimentConfig,
     rows: list[tuple[float, int, int]],
-    analysis: dict | None = None,
+    fit: SineFit | None = None,
+    qm: QmComparison | None = None,
     trace: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None,
 ) -> dict:
     """The record of a run, ready for ``json.dump``; ``kind`` is
     ``"single-bs"``, ``"mzi"`` or ``"sweep"``, and ``rows`` holds each
-    point's ``(delta, d1, d2)``. ``trace`` is a run's outcome
-    arrays ``(emissions, bs1, bs2)`` (see :data:`mzsim.experiment.Run`), and
-    each photon becomes the row
+    point's ``(delta, d1, d2)``, recorded as its results-table row. A sweep's
+    ``analysis`` is its ``fit`` (None if skipped) and, from its ``qm``
+    comparison, the visibility and largest residual; with no ``qm`` it is
+    null. ``trace`` is a run's outcome arrays ``(emissions, bs1, bs2)`` (see
+    :data:`mzsim.experiment.Run`), and each photon becomes the row
     ``[emitted_at, "reflect"|"transmit", "path1"|"path2", "reflect"|"transmit"|null]``:
     the BS1 outcome, the path it implies, and the BS2 outcome (null for
     single-bs runs, where ``bs2`` is None)."""
@@ -83,13 +92,13 @@ def build_record(
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "config": asdict(config),
-        "points": [
-            {"delta": delta, "d1": d1, "d2": d2, "d1_fraction": d1 / (d1 + d2)}
-            for delta, d1, d2 in rows
-        ],
-        "analysis": analysis,
+        "points": [dict(zip(CSV_COLUMNS, _csv_row(*row))) for row in rows],
+        "analysis": None if qm is None else {
+            "fit": None if fit is None else asdict(fit),
+            "visibility": qm.model_visibility,
+            "max_abs_residual": max(abs(r) for r in qm.residuals),
+        },
         "provenance": {
-            "master_seed": config.master_seed,
             "child_seed_function": CHILD_SEED_FUNCTION,
             "build": f"mzsim {__version__} / numpy {np.__version__}",
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -122,9 +131,8 @@ def write_csv(rows: list[tuple[float, int, int]], path: str | os.PathLike) -> No
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for delta, d1, d2 in rows:
-                row = (delta, d1, d2, d1 / (d1 + d2), *binomial_ci(d1, d1 + d2))
-                writer.writerow([repr(v) for v in row])
+            for row in rows:
+                writer.writerow([repr(v) for v in _csv_row(*row)])
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

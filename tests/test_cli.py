@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -189,7 +191,7 @@ SWEEP_ARGV = ["sweep", "--steps", "8", "--photons", "500", "--seed", "42"]
 # a number, a column, a key or a print format moves these.
 OUTPUT_SHA256 = {
     "sweep-json": (
-        "9b8984c282a08191b300438252ac064536bff14bce277eddb3d6b88f42b6e748",
+        "32ed094d4e5e60cde194be6f7a53ddb23000c0a88715c9798ff2ca6db7da96da",
         "bbe3bc40fdf8ca7b550fdd0752eb082e68583d9db588615fc5cb78cb1a468e38",
     ),
     "sweep-csv": (
@@ -197,8 +199,12 @@ OUTPUT_SHA256 = {
         "bbe3bc40fdf8ca7b550fdd0752eb082e68583d9db588615fc5cb78cb1a468e38",
     ),
     "mzi-json": (
-        "28e1db282f907b7206a1b59ca9c1905aad4348767c951322cbc4fd2bed62ff30",
+        "589663beed94e8186c79c6cb3a745cb82c127d3c4ae17feca55abfc2029d943e",
         "11ffc395b0aef4702ba85e81dff6fa51820e14a915ea48d902a82b41ac38d756",
+    ),
+    "single-bs-json": (
+        "06fdb02f12620c988167d3d3f61a2dd4393f1577b8d13aa80f22124b18bd6ebb",
+        "5d3df3df55a6cbc4ea63771af29b3259c61cbce61ae0ba926b5944011b4dc7a3",
     ),
     "analyze": (
         "b3d4c31c9458bcdc7226f615e0d7afb3821eb88554d98b4482d9e6870fa9a6a8",
@@ -221,6 +227,10 @@ def test_outputs_are_pinned(tmp_path, capsys, case):
         path, digest = tmp_path / "mzi.json", record_digest
         assert run_cli("mzi", "--photons", "500", "--delta", "1.5", "--seed", "42",
                        "--format", "json", "--out", str(path)) == 0
+    elif case == "single-bs-json":
+        path, digest = tmp_path / "single-bs.json", record_digest
+        assert run_cli("single-bs", "--photons", "500", "--seed", "42",
+                       "--out", str(path)) == 0
     else:
         path, digest = table, file_digest
         assert run_cli(*SWEEP_ARGV, "--out", str(table)) == 0
@@ -229,6 +239,38 @@ def test_outputs_are_pinned(tmp_path, capsys, case):
             assert run_cli(case, str(table)) == 0
     stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (digest(path), stdout) == OUTPUT_SHA256[case]
+
+
+@pytest.mark.parametrize("argv", [
+    SWEEP_ARGV,
+    ["mzi", "--photons", "500", "--delta", "1.5", "--seed", "42"],
+    ["single-bs", "--photons", "500", "--seed", "42"],
+], ids=["sweep", "mzi", "single-bs"])
+def test_json_points_are_the_csv_rows(tmp_path, argv):
+    table, record = tmp_path / "r.csv", tmp_path / "r.json"
+    assert run_cli(*argv, "--out", str(table)) == 0
+    assert run_cli(*argv, "--out", str(record)) == 0
+    with table.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    types = (float, int, int, float, float, float)
+    expected = [{k: t(v) for k, t, v in zip(header, types, row)} for row in rows]
+    assert json.loads(record.read_text())["points"] == expected
+
+
+def test_sweep_point_is_reproduced_from_its_record(tmp_path, capsys):
+    # A point's run seed is not stored: it is derived from the master seed
+    # and the bits of the point's delta.
+    path = tmp_path / "sweep.json"
+    assert run_cli(*SWEEP_ARGV, "--out", str(path)) == 0
+    record = json.loads(path.read_text())
+    config = record["config"]
+    for point in record["points"]:
+        bits = struct.unpack("<Q", struct.pack("<d", point["delta"]))[0]
+        seed = experiment.derive_child_seed(config["master_seed"], bits)
+        capsys.readouterr()
+        assert run_cli("mzi", "--seed", str(seed), "--delta", repr(point["delta"]),
+                       "--photons", str(config["photon_count"])) == 0
+        assert f" d1={point['d1']} d2={point['d2']} " in capsys.readouterr().out
 
 
 def test_sweep_parallel_flag_matches_serial(tmp_path):
@@ -247,7 +289,7 @@ def test_zero_span_sweep_skips_the_fit(tmp_path, capsys):
     assert "fit:" not in capsys.readouterr().out
     data = json.loads(out.read_text())
     assert data["analysis"]["fit"] is None
-    assert data["analysis"]["qm"]["fitted_period"] is None
+    assert sorted(data["analysis"]) == ["fit", "max_abs_residual", "visibility"]
     assert [p["delta"] for p in data["points"]] == [0.0] * 8
 
 
@@ -346,7 +388,8 @@ def test_trace_without_json_output_is_a_single_line_error(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("target", ["missing-directory", "a-directory", "trailing-slash", "empty"])
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory", "trailing-slash", "empty",
+                                    "format-without-out"])
 @pytest.mark.parametrize("command", ["sweep", "mzi"])
 def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch, capsys, command, target):
     def must_not_run(*args, **kwargs):
@@ -364,10 +407,13 @@ def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch, capsys,
         message = f"cannot write {out}: it is a directory"
     elif target == "empty":
         out, message = "", "cannot write: the --out path is empty"
+    elif target == "format-without-out":
+        out, message = None, "--format needs --out PATH"
     else:
         out = str(tmp_path / "missing" / "r.csv")
         message = f"cannot write {out}: no directory {tmp_path / 'missing'}"
-    assert run_cli(command, "--photons", "100", "--out", out) == 1
+    destination = ["--format", "json"] if out is None else ["--out", out]
+    assert run_cli(command, "--photons", "100", *destination) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzsim.analysis import compare_to_qm
 from mzsim.config import ExperimentConfig
 from mzsim.output import (
     CSV_COLUMNS,
@@ -29,7 +30,8 @@ ONE_ROW = [(1 / 3, 1, 2)]
 
 
 def one_point_record():
-    return build_record("sweep", ExperimentConfig(), ONE_ROW, {"visibility": 0.5})
+    qm = compare_to_qm([1 / 3], [1 / 3], 1.0)
+    return build_record("sweep", ExperimentConfig(), ONE_ROW, qm=qm)
 
 
 def test_csv_has_exact_columns_and_one_row(tmp_path):
@@ -84,13 +86,7 @@ def test_json_round_trip_equality(tmp_path):
 
 
 def trace_rows(kind, trace):
-    record = build_record(
-        kind,
-        ExperimentConfig(),
-        [(0.0, 1, 1)],
-        None,
-        trace=trace,
-    )
+    record = build_record(kind, ExperimentConfig(), [(0.0, 1, 1)], trace=trace)
     return json.loads(json.dumps(record))["trace"]
 
 
@@ -113,8 +109,10 @@ def test_json_trace_rows():
 
 
 def test_provenance_carries_seed_and_mixer():
-    provenance = one_point_record()["provenance"]
-    assert provenance["master_seed"] == 42
+    record = one_point_record()
+    assert record["config"]["master_seed"] == 42
+    provenance = record["provenance"]
+    assert sorted(provenance) == ["build", "child_seed_function", "timestamp"]
     assert provenance["child_seed_function"] == "splitmix64"
     assert "mzsim" in provenance["build"]
 
