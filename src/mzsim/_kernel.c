@@ -13,9 +13,10 @@
  * The loop is the run from draw to count. It takes the drawn emission gaps
  * and sums them into the emission times in place, one add per photon in
  * order, which are the bits of numpy's cumsum. It draws each photon's
- * initial phase from the run's generator itself, through numpy's bitgen_t.
- * So a run holds one float64 array, the gaps that become the times, and no
- * array of phases.
+ * initial phase from the run's generator itself, by calling the
+ * next_double(state) that numpy's Generator.bit_generator.ctypes hands
+ * out (documented under BitGenerator.ctypes). So a run holds one float64
+ * array, the gaps that become the times, and no array of phases.
  *
  * Its outcomes are bit for bit those of the splitter rule written in Python
  * with phases.wrap_phase (the test oracle, tests/reference.py): it does the
@@ -122,17 +123,6 @@ void wrap_masked_array(const double *x, int64_t n, double *out)
         out[i] = wrap_m(x[i]);
 }
 
-/* numpy's interface to a bit generator, as numpy/random/bitgen.h declares
- * it; Generator.bit_generator.ctypes.bit_generator is the address of one.
- * next_double(state) is the draw of Generator.random. */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
-
 /* Photons per block of initial phases. The phases of a block are drawn
  * before its photons run: a call through next_double inside the photon
  * loop spilled every register the loop keeps, 0.393 against 0.307 s per
@@ -143,9 +133,10 @@ typedef struct {
  * before photon i's emission (photon 0's from time 0); on return it is
  * photon i's emission time. bs1_out[i] and bs2_out[i] are 1 where photon i
  * reflected at that splitter; a single-bs run reads only bs1_out (see the
- * top). Photon i's initial phase is next_double * TWO_PI, its draw in turn
- * from bitgen, the bits of Generator.random scaled by TWO_PI; with bitgen
- * NULL it is phase for every photon. Either is wrapped here. The starting
+ * top). Photon i's initial phase is next_double(state) * TWO_PI, its draw
+ * in turn, the bits of Generator.random scaled by TWO_PI: next_double and
+ * state are those of Generator.bit_generator.ctypes. With next_double NULL
+ * it is phase for every photon. Either is wrapped here. The starting
  * phases and path steps come from _stream_params.
  *
  * cp is the source's phase, s1 BS1's, each as the current photon meets
@@ -153,22 +144,23 @@ typedef struct {
  * BS1 sets the photon's and BS1's phases to the updated ones. Path 2 is
  * longer by delta, so BS2 is met lag2 further on, and a reflection there
  * stores BS2's updated phase back at the path 1 time. */
-void run_stream(double *times, int64_t n, const bitgen_t *bitgen, double phase,
+void run_stream(double *times, int64_t n, double (*next_double)(void *), void *state,
+                double phase,
                 double nu_p, double path1, double path2,
                 double nu1, double a1, double b1, double s1,
                 double nu2, double a2, double b2, double c2, double lag2,
                 int8_t *bs1_out, int8_t *bs2_out)
 {
     double phases[BLOCK];
-    if (!bitgen)
+    if (!next_double)
         for (int j = 0; j < BLOCK; j++)
             phases[j] = wrap(phase);
     double cp = path1, prev = 0.0;
     for (int64_t start = 0; start < n; start += BLOCK) {
         int64_t end = n - start < BLOCK ? n : start + BLOCK;
-        if (bitgen)
+        if (next_double)
             for (int64_t i = start; i < end; i++)
-                phases[i - start] = wrap(bitgen->next_double(bitgen->state) * TWO_PI);
+                phases[i - start] = wrap(next_double(state) * TWO_PI);
         for (int64_t i = start; i < end; i++) {
             double t = prev + times[i];
             double gap = t - prev;

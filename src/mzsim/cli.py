@@ -214,7 +214,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # in the try, so that a reader gone by the last flush is caught
+        return code
+    except BrokenPipeError:  # Python's SIGPIPE recipe: fd 1 to devnull, so exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -132,7 +132,7 @@ def _load_kernel():
     run = ctypes.CDLL(str(_build_kernel())).run_stream
     times = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     flags = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
-    run.argtypes = [times, ctypes.c_int64, ctypes.c_void_p, *[ctypes.c_double] * 13, flags, flags]
+    run.argtypes = [times, ctypes.c_int64, *[ctypes.c_void_p] * 2, *[ctypes.c_double] * 13, flags, flags]
     run.restype = None
     return run
 
@@ -179,25 +179,23 @@ def run_mzi(config: ExperimentConfig) -> Run:
     Returns the counts and ``(emissions, bs1, bs2)``: each photon's emission
     time and its BS1 and BS2 outcomes (1 = reflected).
 
-    One generator seeded with ``master_seed`` draws all the emission gaps
-    into ``emissions``, then, in the loop, each photon's initial phase in
-    turn: uniform on [0, 2*pi), the bits of ``rng.uniform(0.0, TWO_PI)``,
-    or the configured ``particle_initial_phase``, unwrapped like a drawn one
-    (the loop wraps both). The loop sums the gaps into the emission times
-    in place, so a run holds 10 bytes per photon: the arrays it returns.
-    The loop is the compiled kernel (``_kernel.c``); where it cannot be
-    built, the run is an OSError (see :func:`_load_kernel`). Each gap the
-    loop steps a phase by is at most the last emission time, which the run
-    then checks (:meth:`~mzsim.config.ExperimentConfig.check_phase_range`).
+    One generator seeded with ``master_seed`` draws all the emission gaps into
+    ``emissions``, then, in the loop, each photon's initial phase in turn, by
+    ``next_double(state)`` of numpy's ``BitGenerator.ctypes``: the bits of
+    ``rng.uniform(0.0, TWO_PI)``, or the configured ``particle_initial_phase``,
+    wrapped alike. The compiled loop (``_kernel.c``; an OSError where it cannot
+    be built, see :func:`_load_kernel`) sums the gaps into the emission times
+    in place, so a run holds 10 bytes per photon: the arrays it returns. Each
+    gap the loop steps a phase by is at most the last emission time, which the
+    run then checks (:meth:`~mzsim.config.ExperimentConfig.check_phase_range`).
     """
     n = config.photon_count
     rng = np.random.default_rng(config.master_seed)
     emissions = generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law)
     bs1, bs2 = np.empty(n, np.int8), np.empty(n, np.int8)
-    phase = config.particle_initial_phase
-    bitgen = rng.bit_generator.ctypes.bit_generator if phase is None else None
-    _load_kernel()(emissions, n, bitgen, 0.0 if phase is None else phase,
-                   *_stream_params(config), bs1, bs2)
+    draw, phase = rng.bit_generator.ctypes, config.particle_initial_phase
+    _load_kernel()(emissions, n, draw.next_double if phase is None else None, draw.state,
+                   0.0 if phase is None else phase, *_stream_params(config), bs1, bs2)
     config.check_phase_range("the last emission time", float(emissions[-1]))
     d1 = int(np.count_nonzero(bs2))
     return (d1, n - d1), (emissions, bs1, bs2)

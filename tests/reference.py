@@ -8,6 +8,10 @@ does the same IEEE double operations in the same order, so the two fill the
 same outcome arrays bit for bit; the property tests in
 ``test_experiment.py`` check that. The oracle takes its photons as arrays:
 it draws nothing, sums nothing in place, and has no use on the run path.
+The kernel draws each initial phase by calling ``next_double(state)``, the
+pair numpy's ``Generator.bit_generator.ctypes`` hands out (documented under
+``BitGenerator.ctypes``); :func:`listed_bitgen` makes a ``next_double`` of
+chosen phases.
 """
 
 import ctypes
@@ -62,29 +66,13 @@ def reference_stream(times, phases, nu_p, path1, path2, nu1, a1, b1, s1, nu2, a2
     return bs1, bs2
 
 
-class Bitgen(ctypes.Structure):
-    """numpy's ``bitgen_t`` (``numpy/random/bitgen.h``), as ``_kernel.c``
-    declares it: ``Generator.bit_generator.ctypes.bit_generator`` is the
-    address of one, and its ``next_double(state)`` is the draw of
-    ``Generator.random``."""
-
-    _fields_ = [
-        ("state", ctypes.c_void_p),
-        ("next_uint64", ctypes.c_void_p),
-        ("next_uint32", ctypes.c_void_p),
-        ("next_double", ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)),
-        ("next_raw", ctypes.c_void_p),
-    ]
-
-
 def listed_bitgen(turns):
-    """A ``bitgen_t`` whose ``next_double`` returns ``turns`` in order, so
-    that the kernel drawing from it gives photon ``i`` the initial phase
-    ``turns[i] * TWO_PI``: chosen phases through the kernel's draw. The
-    kernel takes its address; keep the struct alive while the kernel runs."""
+    """A ``next_double`` that returns ``turns`` in order, whatever ``state``
+    it is handed, so that the kernel drawing from it gives photon ``i`` the
+    initial phase ``turns[i] * TWO_PI``: chosen phases through the kernel's
+    draw. The kernel calls it; keep it alive while the kernel runs."""
     values = iter(np.asarray(turns, np.float64).tolist())
-    next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda _: next(values))
-    return Bitgen(next_double=next_double)
+    return ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda _: next(values))
 
 
 def stream_outcomes(loop, config, turns=None):
@@ -93,9 +81,9 @@ def stream_outcomes(loop, config, turns=None):
     generator, or the configured phase. Given ``turns``, the initial phases
     are ``turns * TWO_PI`` in their place.
 
-    ``loop`` is the compiled ``run_stream``, handed the gaps and a
-    ``bitgen_t`` to draw the phases from, as ``run_mzi`` hands them; its
-    arrays start at -1, so a photon it skips shows. Or it is
+    ``loop`` is the compiled ``run_stream``, handed the gaps and the
+    ``(next_double, state)`` to draw the phases by, as ``run_mzi`` hands
+    them; its arrays start at -1, so a photon it skips shows. Or it is
     :func:`reference_stream`, handed the times ``np.cumsum`` gives and the
     phases as an array."""
     n, phase = config.photon_count, config.particle_initial_phase
@@ -106,13 +94,11 @@ def stream_outcomes(loop, config, turns=None):
             turns = rng.random(n)
         phases = np.full(n, phase) if turns is None else np.asarray(turns, np.float64) * TWO_PI
         return reference_stream(np.cumsum(times), phases, *_stream_params(config))
-    listed = None if turns is None else listed_bitgen(turns)  # alive until the loop returns
-    if listed is not None:
-        bitgen = ctypes.addressof(listed)
-    elif phase is None:
-        bitgen = rng.bit_generator.ctypes.bit_generator
-    else:
-        bitgen = None
+    draw = rng.bit_generator.ctypes
+    next_double = draw.next_double if phase is None else None
+    if turns is not None:
+        next_double = listed_bitgen(turns)  # alive until the loop returns
     bs1, bs2 = np.full(n, -1, np.int8), np.full(n, -1, np.int8)
-    loop(times, n, bitgen, 0.0 if phase is None else phase, *_stream_params(config), bs1, bs2)
+    loop(times, n, next_double, draw.state, 0.0 if phase is None else phase,
+         *_stream_params(config), bs1, bs2)
     return bs1, bs2

@@ -122,6 +122,27 @@ def test_analyze_prints_fit_visibility_and_table(tmp_path, capsys):
     assert len(text.splitlines()) == 2 + 1 + 12
 
 
+def test_analyze_into_a_closed_pipe_exits_1_and_says_nothing(tmp_path):
+    # `mzsim analyze big.csv | head -1`: its 139 kB of table outgrow a 64 kB
+    # pipe, so the reader is gone before the output is written
+    path = tmp_path / "big.csv"
+    write_csv([(0.001 * i, 500 + i % 7, 500 - i % 7) for i in range(4000)], str(path))
+    script = f"from mzsim.cli import main\nraise SystemExit(main(['analyze', {str(path)!r}]))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env, bufsize=0,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith(b"fit:")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+    assert err == b""
+    assert proc.returncode == 1
+
+
 def test_compare_qm_reports_gap_and_period(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     run_cli("sweep", "--steps", "12", "--photons", "2000", "--seed", "6", "--out", str(out))

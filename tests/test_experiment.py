@@ -1,5 +1,4 @@
 import concurrent.futures
-import ctypes
 import math
 import os
 import tracemalloc
@@ -223,10 +222,12 @@ configs = st.builds(
 
 
 def assert_kernel_fills_the_reference_arrays(config):
-    kernel = stream_outcomes(_load_kernel(), config)
+    # both calls of the kernel, run_mzi's and stream_outcomes', against the oracle
     reference = stream_outcomes(reference_stream, config)
-    for got, expected in zip(kernel, reference):
-        np.testing.assert_array_equal(got, expected)
+    _, (_, *shipped) = run_mzi(config)
+    for kernel in (stream_outcomes(_load_kernel(), config), shipped):
+        for got, expected in zip(kernel, reference, strict=True):
+            np.testing.assert_array_equal(got, expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -386,8 +387,8 @@ def test_reversed_stream_changes_splitter_memory():
     loop = _load_kernel()
     forward, backward = ([np.empty(n, np.int8), np.empty(n, np.int8)] for _ in range(2))
     for order, (bs1, bs2) in ((slice(None), forward), (slice(None, None, -1), backward)):
-        source = listed_bitgen(turns[order])
-        loop(gaps[order].copy(), n, ctypes.addressof(source), 0.0, *_stream_params(cfg), bs1, bs2)
+        loop(gaps[order].copy(), n, listed_bitgen(turns[order]), None, 0.0, *_stream_params(cfg),
+             bs1, bs2)
     assert not all(np.array_equal(f, b[::-1]) for f, b in zip(forward, backward))
 
 

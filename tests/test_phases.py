@@ -13,7 +13,8 @@ def circular_close(a, b, tol=1e-9):
     return min(d, TWO_PI - d) <= tol
 
 
-# The two oscillator formulas the stream loop applies inline at every splitter.
+# wrap_phase on oscillator phases, as these two form them. The stream loop
+# forms neither: it carries each phase by the emission gap.
 
 
 def phase_at(nu, offset, t):
