@@ -1,10 +1,5 @@
-/* The per-photon stream loop of mzsim.experiment, compiled.
- *
- * Every photon goes through BS1 and then BS2; a single-bs run reads the BS1
- * outcomes. That is exact: BS1's decision and update read the photon and
- * BS1's phase, never BS2's phase or delta. The cost is BS2's work, which a
- * single-bs run also does: 1.34 times a BS1-only loop's time over the 50
- * sweep-ref points.
+/* The per-photon stream loop of mzsim.experiment, compiled: every photon
+ * goes through BS1 and then BS2.
  *
  * Each oscillator's phase is carried from one photon to the next by the gap
  * between their emission times, x = wrap(x + nu*gap), so no phase is formed
@@ -132,12 +127,12 @@ void wrap_masked_array(const double *x, int64_t n, double *out)
 /* Stream n photons through BS1, then BS2. On entry times[i] is the gap
  * before photon i's emission (photon 0's from time 0); on return it is
  * photon i's emission time. bs1_out[i] and bs2_out[i] are 1 where photon i
- * reflected at that splitter; a single-bs run reads only bs1_out (see the
- * top). Photon i's initial phase is next_double(state) * TWO_PI, its draw
- * in turn, the bits of Generator.random scaled by TWO_PI: next_double and
- * state are those of Generator.bit_generator.ctypes. With next_double NULL
- * it is phase for every photon. Either is wrapped here. The starting
- * phases and path steps come from _stream_params.
+ * reflected at that splitter; a single-bs run reads only bs1_out (see
+ * mzsim.cli._run_one). Photon i's initial phase is next_double(state) *
+ * TWO_PI, its draw in turn, the bits of Generator.random scaled by TWO_PI:
+ * next_double and state are those of Generator.bit_generator.ctypes. With
+ * next_double NULL it is phase for every photon. Either is wrapped here.
+ * The starting phases and path steps come from _stream_params.
  *
  * cp is the source's phase, s1 BS1's, each as the current photon meets
  * BS1; c2 is BS2's as the photon would meet it by path 1. A reflection at

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import SineFit, binomial_ci, compare_to_qm, fit_sine, visibility
 from .config import ExperimentConfig, load_config
-from .experiment import default_sweep_deltas, run_mzi, run_single_bs, run_sweep
+from .experiment import default_sweep_deltas, run_mzi, run_sweep
 from .output import build_record, read_sweep_csv, write_csv, write_json
 
 
@@ -124,18 +127,28 @@ def _print_fit(fit: SineFit, digits: int) -> None:
 
 
 def _run_one(args: argparse.Namespace) -> int:
-    """``single-bs`` and ``mzi``: one run, named by the subcommand."""
+    """``single-bs`` and ``mzi``: one run, named by the subcommand.
+
+    Both are a :func:`~mzsim.experiment.run_mzi` run. ``mzi`` counts a
+    reflection at BS2 to D1; ``single-bs`` counts one at BS1 to D1 and drops
+    the BS2 outcomes. Those BS1 outcomes are exactly a one-splitter run's,
+    as BS1's rule reads neither BS2's state nor ``delta``; the cost is
+    BS2's work, about 1.34 times a BS1-only loop's time.
+    """
     if args.trace and not (args.out and _out_format(args) == "json"):
         raise ValueError("--trace needs JSON output (--out PATH.json, or --out PATH --format json)")
     _check_out(args)
     kind = args.command
     cfg = _effective_config(args)
-    runner = run_single_bs if kind == "single-bs" else run_mzi
-    (d1, d2), trace = runner(cfg)
+    emissions, bs1, bs2 = run_mzi(cfg)
+    bs2 = None if kind == "single-bs" else bs2
+    d1 = int(np.count_nonzero(bs1 if bs2 is None else bs2))
+    d2 = bs1.size - d1
     frac = d1 / (d1 + d2)
     lo, hi = binomial_ci(d1, d1 + d2)
     if args.out:
-        _emit(args, kind, cfg, [(cfg.delta, d1, d2)], trace=trace if args.trace else None)
+        _emit(args, kind, cfg, [(cfg.delta, d1, d2)],
+              trace=(emissions, bs1, bs2) if args.trace else None)
     print(
         f"{kind}: photons={d1 + d2} d1={d1} d2={d2} "
         f"d1_fraction={frac:.6f} ci95=[{lo:.6f}, {hi:.6f}]"
@@ -144,6 +157,8 @@ def _run_one(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
     _check_out(args)
     cfg = _effective_config(args)
     deltas = default_sweep_deltas(cfg, steps=args.steps, delta_max=args.delta_max)
@@ -183,10 +198,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_compare_qm(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     rows = read_sweep_csv(args.results)
-    qm = compare_to_qm(
-        [delta for delta, _, _ in rows], [d1 / (d1 + d2) for _, d1, d2 in rows],
-        cfg.particle_frequency,
-    )
+    nu = cfg.particle_frequency
+    for delta, _, _ in rows:  # the ideal curve's angle is nu*delta/2
+        if not math.isfinite(0.5 * nu * delta):
+            raise ValueError(
+                f"{args.results}: particle_frequency {nu!r} times delta {delta!r} overflows")
+    qm = compare_to_qm([delta for delta, _, _ in rows], [d1 / (d1 + d2) for _, d1, d2 in rows], nu)
     rms = (sum(r * r for r in qm.residuals) / len(qm.residuals)) ** 0.5
     print(
         f"residuals: max_abs={max(abs(r) for r in qm.residuals):.6f} rms={rms:.6f} "

@@ -17,8 +17,7 @@ import numbers
 import os
 from dataclasses import dataclass, fields
 
-from .optics import INTER_ARRIVAL_LAWS
-
+INTER_ARRIVAL_LAWS = ("exponential", "uniform", "fixed")
 MAX_SEED = 2**64 - 1
 MAX_PHOTONS = 2**63 - 1  # the stream loop takes its photon count as an int64_t
 _SHOWN = 32  # longest field an error message shows whole; a double's repr fits

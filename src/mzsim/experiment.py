@@ -1,5 +1,5 @@
-"""Run orchestration: full interferometer runs, their single-splitter
-view, and reproducible path-length sweeps.
+"""Run orchestration: full interferometer runs, which return each photon's
+outcomes, and reproducible path-length sweeps, which keep each run's counts.
 
 Every run is fully determined by its :class:`~mzsim.config.ExperimentConfig`.
 Random numbers are drawn from one ``numpy`` PCG64 generator seeded with the
@@ -50,12 +50,6 @@ def _delta_bits(delta: float) -> int:
     """IEEE-754 bit pattern of a delta, used as its child-seed index."""
     return struct.unpack("<Q", struct.pack("<d", float(delta)))[0]
 
-
-# What a single run returns: its detector counts (d1, d2) and its outcome
-# arrays (emissions, bs1, bs2), one entry per photon in emission order; bs1
-# and bs2 are int8, 1 where the photon reflected there, and bs2 is None in
-# single-bs runs.
-Run = tuple[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 # The compiled stream loop: its source, and the flags it must be built with
 # to round as Python's float arithmetic does (see _kernel.c).
@@ -154,21 +148,7 @@ def _stream_params(config: ExperimentConfig) -> tuple[float, ...]:
     )
 
 
-def run_single_bs(config: ExperimentConfig) -> Run:
-    """The first splitter's view of a :func:`run_mzi` run.
-
-    Reflections at BS1 count to D1, transmissions to D2. Returns the counts
-    and ``(emissions, bs1, None)``: each photon's emission time and its BS1
-    outcome (1 = reflected). These are exactly the two-splitter run's BS1
-    outcomes, as BS1's rule reads neither BS2's state nor ``delta``; the
-    cost is BS2's work, about 1.34 times a BS1-only loop's time.
-    """
-    _, (emissions, bs1, _) = run_mzi(config)
-    d1 = int(np.count_nonzero(bs1))
-    return (d1, bs1.size - d1), (emissions, bs1, None)
-
-
-def run_mzi(config: ExperimentConfig) -> Run:
+def run_mzi(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full two-splitter run.
 
     Each photon travels ``base_path_length`` to BS1; a reflection there sends
@@ -176,8 +156,9 @@ def run_mzi(config: ExperimentConfig) -> Run:
     (``base_path_length + delta``); at BS2 a reflection clicks D1 and a
     transmission clicks D2. Both splitters keep their own evolving state for
     the whole stream, so photons are processed strictly in emission order.
-    Returns the counts and ``(emissions, bs1, bs2)``: each photon's emission
-    time and its BS1 and BS2 outcomes (1 = reflected).
+    Returns ``(emissions, bs1, bs2)``, one entry per photon in emission
+    order: its emission time, and its BS1 and BS2 outcomes as int8, 1 where
+    it reflected there. D1 counts the reflections at BS2 (see :func:`_counts`).
 
     One generator seeded with ``master_seed`` draws all the emission gaps into
     ``emissions``, then, in the loop, each photon's initial phase in turn, by
@@ -191,20 +172,22 @@ def run_mzi(config: ExperimentConfig) -> Run:
     """
     n = config.photon_count
     rng = np.random.default_rng(config.master_seed)
-    emissions = generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law)
+    emissions = generate_emissions(config, rng)
     bs1, bs2 = np.empty(n, np.int8), np.empty(n, np.int8)
     draw, phase = rng.bit_generator.ctypes, config.particle_initial_phase
     _load_kernel()(emissions, n, draw.next_double if phase is None else None, draw.state,
                    0.0 if phase is None else phase, *_stream_params(config), bs1, bs2)
     config.check_phase_range("the last emission time", float(emissions[-1]))
-    d1 = int(np.count_nonzero(bs2))
-    return (d1, n - d1), (emissions, bs1, bs2)
+    return emissions, bs1, bs2
 
 
 def _counts(config: ExperimentConfig) -> tuple[int, int]:
-    """The ``(d1, d2)`` of one :func:`run_mzi`: all a sweep point keeps, so
-    its arrays are freed as soon as it is counted."""
-    return run_mzi(config)[0]
+    """The detector counts ``(d1, d2)`` of one :func:`run_mzi`, D1 counting
+    the reflections at BS2: all a sweep point keeps, so its arrays are freed
+    as soon as it is counted."""
+    bs2 = run_mzi(config)[2]
+    d1 = int(np.count_nonzero(bs2))
+    return d1, bs2.size - d1
 
 
 def point_config(config: ExperimentConfig, delta: float) -> ExperimentConfig:

@@ -83,8 +83,8 @@ def build_record(
     point's ``(delta, d1, d2)``, recorded as its results-table row. A sweep's
     ``analysis`` is its ``fit`` (None if skipped) and, from its ``qm``
     comparison, the visibility and largest residual; with no ``qm`` it is
-    null. ``trace`` is a run's outcome arrays ``(emissions, bs1, bs2)`` (see
-    :data:`mzsim.experiment.Run`), and each photon becomes the row
+    null. ``trace`` is a run's outcome arrays ``(emissions, bs1, bs2)``, as
+    :func:`mzsim.experiment.run_mzi` returns them, and each photon becomes the row
     ``[emitted_at, "reflect"|"transmit", "path1"|"path2", "reflect"|"transmit"|null]``:
     the BS1 outcome, the path it implies, and the BS2 outcome (null for
     single-bs runs, where ``bs2`` is None)."""

@@ -88,7 +88,7 @@ def stream_outcomes(loop, config, turns=None):
     phases as an array."""
     n, phase = config.photon_count, config.particle_initial_phase
     rng = np.random.default_rng(config.master_seed)
-    times = generate_emissions(config.source_rate, n, rng, law=config.inter_arrival_law)
+    times = generate_emissions(config, rng)
     if loop is reference_stream:
         if turns is None and phase is None:
             turns = rng.random(n)

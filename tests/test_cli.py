@@ -154,6 +154,41 @@ def test_compare_qm_reports_gap_and_period(tmp_path, capsys):
     assert "period:" in text
 
 
+def test_compare_qm_refuses_a_delta_whose_ideal_angle_overflows(tmp_path, capsys):
+    # the ideal curve's angle nu*delta/2 is 5e308 here, past the double
+    # range, which cos cannot take: one error line names the file and value
+    path, config = tmp_path / "r.csv", tmp_path / "cfg.json"
+    path.write_text("delta,d1,d2,d1_fraction,ci_lo,ci_hi\n0.5,5,0,1.0,0.0,1.0\n1e308,0,5,0.0,0.0,0.0\n")
+    config.write_text(json.dumps({"particle_frequency": 10.0}))
+    assert run_cli("compare-qm", "--config", str(config), str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: particle_frequency 10.0 times delta 1e+308 overflows\n"
+
+
+@pytest.mark.parametrize("seed, delta", [(3, 0.4), (11, 2.5), (42, 5.9)])
+def test_single_bs_counts_the_bs1_outcomes_of_the_mzi_run(tmp_path, seed, delta):
+    """``single-bs`` and ``mzi`` run the same stream: ``single-bs`` counts a
+    reflection at BS1 to D1, ``mzi`` one at BS2, and the single-bs trace is
+    the mzi trace with its BS2 column null."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"delta": delta}))  # single-bs has no --delta
+    traces, d1 = {}, {}
+    for command in ("single-bs", "mzi"):
+        out, table = tmp_path / f"{command}.json", tmp_path / f"{command}.csv"
+        argv = [command, "--config", str(config), "--photons", "1500", "--seed", str(seed)]
+        assert run_cli(*argv, "--trace", "--out", str(out)) == 0
+        assert run_cli(*argv, "--out", str(table)) == 0
+        traces[command] = json.loads(out.read_text())["trace"]
+        d1[command] = int(table.read_text().splitlines()[1].split(",")[1])
+    single, mzi = traces["single-bs"], traces["mzi"]
+    for trace in (single, mzi):
+        assert d1["single-bs"] == sum(row[1] == "reflect" for row in trace)
+    assert [row[:3] for row in single] == [row[:3] for row in mzi]
+    assert [row[3] for row in single] == [None] * 1500
+    assert d1["mzi"] == sum(row[3] == "reflect" for row in mzi)
+
+
 def test_mzi_delta_flag_overrides_config(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli("mzi", "--photons", "500", "--seed", "2", "--delta", "1.25",
@@ -409,9 +444,15 @@ def test_trace_without_json_output_is_a_single_line_error(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("target", ["missing-directory", "a-directory", "trailing-slash", "empty",
-                                    "format-without-out"])
-@pytest.mark.parametrize("command", ["sweep", "mzi"])
+UNWRITABLE = ["missing-directory", "a-directory", "trailing-slash", "empty", "format-without-out"]
+# A sweep's --parallel below 1, by target: refused before the run as well.
+TOO_FEW_THREADS = {"parallel-zero": "0", "parallel-negative": "-3"}
+
+
+@pytest.mark.parametrize("command, target", [
+    *[(command, target) for command in ("sweep", "mzi") for target in UNWRITABLE],
+    *[("sweep", target) for target in TOO_FEW_THREADS],
+])
 def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch, capsys, command, target):
     def must_not_run(*args, **kwargs):
         raise AssertionError("the run started")
@@ -430,10 +471,14 @@ def test_unwritable_out_is_refused_before_the_run(tmp_path, monkeypatch, capsys,
         out, message = "", "cannot write: the --out path is empty"
     elif target == "format-without-out":
         out, message = None, "--format needs --out PATH"
+    elif target in TOO_FEW_THREADS:  # with an --out that can be written
+        out, message = "r.csv", f"--parallel must be >= 1, got {TOO_FEW_THREADS[target]}"
     else:
         out = str(tmp_path / "missing" / "r.csv")
         message = f"cannot write {out}: no directory {tmp_path / 'missing'}"
     destination = ["--format", "json"] if out is None else ["--out", out]
+    if target in TOO_FEW_THREADS:
+        destination += ["--parallel", TOO_FEW_THREADS[target]]
     assert run_cli(command, "--photons", "100", *destination) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -108,6 +108,8 @@ def test_dict_round_trip():
         ({"photon_count": 2**63}, "photon_count"),
         ({"particle_frequency": 10.0, "delta": 1e308}, "particle_frequency"),
         ({"bs1": {"frequency": 1e308}}, "bs1.frequency"),
+        ({"source_rate": -1.0}, "source_rate"),
+        ({"photon_count": -1}, "photon_count"),
     ],
 )
 def test_validation_names_offending_field(patch, field):

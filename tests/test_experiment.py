@@ -17,8 +17,8 @@ from mzsim.experiment import (
     point_config,
     pool_size,
     run_mzi,
-    run_single_bs,
     run_sweep,
+    _counts,
     _load_kernel,
     _stream_params,
 )
@@ -38,8 +38,16 @@ def small_config(**overrides):
 # single splitter
 
 
+def single_bs_counts(config):
+    """A single-bs run's ``(d1, d2)``: the reflections and transmissions at
+    BS1 of a :func:`run_mzi` run, as ``mzsim single-bs`` counts them."""
+    bs1 = run_mzi(config)[1]
+    d1 = int(np.count_nonzero(bs1))
+    return d1, bs1.size - d1
+
+
 def test_single_bs_is_balanced_for_uniform_phases():
-    (d1, d2), _ = run_single_bs(small_config(photon_count=20_000))
+    d1, d2 = single_bs_counts(small_config(photon_count=20_000))
     assert d1 + d2 == 20_000
     # 3-sigma binomial band at n=2e4
     assert abs(d1 / (d1 + d2) - 0.5) <= 0.011
@@ -49,8 +57,7 @@ def test_single_photon_with_locked_phase_reflects():
     # particle and first splitter share frequency and offset, so the phase
     # difference at arrival is exactly zero
     cfg = small_config(photon_count=1, particle_initial_phase=0.0)
-    counts, _ = run_single_bs(cfg)
-    assert counts == (1, 0)
+    assert single_bs_counts(cfg) == (1, 0)
 
 
 def test_single_bs_grid_enumeration_oracle():
@@ -69,10 +76,10 @@ def test_single_bs_grid_enumeration_oracle():
 
 
 def test_single_bs_deterministic():
-    a = run_single_bs(small_config())
-    b = run_single_bs(small_config())
+    # the emission times and BS1 outcomes a single-bs run reads
+    a = run_mzi(small_config())[:2]
+    b = run_mzi(small_config())[:2]
     assert_same_run(a, b)
-    assert a[1][2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +87,7 @@ def test_single_bs_deterministic():
 
 
 def test_mzi_counts_are_conserved():
-    (d1, d2), _ = run_mzi(small_config(delta=1.1))
+    d1, d2 = _counts(small_config(delta=1.1))
     assert d1 + d2 == 2000
 
 
@@ -89,8 +96,7 @@ def test_mzi_deterministic_including_trace():
     a = run_mzi(cfg)
     b = run_mzi(cfg)
     assert_same_run(a, b)
-    _, trace = a
-    assert [x.shape for x in trace] == [(2000,)] * 3
+    assert [x.shape for x in a] == [(2000,)] * 3
 
 
 def test_mzi_trace_periodic_in_delta():
@@ -110,7 +116,7 @@ def test_random_initial_offsets_are_uniform_draws():
         rng.exponential(1.0 / cfg.source_rate, n)
     turns = reference.random(n)
     assert (turns * TWO_PI).tobytes() == again.uniform(0.0, TWO_PI, n).tobytes()
-    _, (_, bs1, bs2) = run_mzi(cfg)
+    _, bs1, bs2 = run_mzi(cfg)
     for got, want in zip((bs1, bs2), stream_outcomes(reference_stream, cfg, turns), strict=True):
         np.testing.assert_array_equal(got, want)
 
@@ -140,9 +146,9 @@ def test_run_leaves_its_draw_in_the_first_two_buffers(loop, law, phase, monkeypa
     for n in (1, 511, 512, 513, 2000):
         cfg = small_config(photon_count=n, inter_arrival_law=law, particle_initial_phase=phase,
                            delta=1.3)
-        _, (emissions, _, _) = run_mzi(cfg)
+        emissions, _, _ = run_mzi(cfg)
         reference = default_rng(cfg.master_seed)
-        gaps = generate_emissions(cfg.source_rate, n, reference, law=law)
+        gaps = generate_emissions(cfg, reference)
         assert emissions.tobytes() == np.cumsum(gaps).tobytes()
         if phase is None:
             reference.random(n)
@@ -163,10 +169,10 @@ def test_run_goes_ahead_where_only_last_time_plus_longest_path_overflows(law):
     # whose wrap_phase raises on any phase that is not finite, agrees
     cfg = small_config(photon_count=100, source_rate=100 / 1.2e308, inter_arrival_law=law,
                        delta=1.5e308)
-    (d1, d2), (emissions, _, _) = run_mzi(cfg)
+    emissions, _, bs2 = run_mzi(cfg)
     last, longest = float(emissions[-1]), 2.0 * cfg.base_path_length + cfg.delta
     assert math.isfinite(last) and math.isinf(last + longest)
-    assert d1 > 0 and d2 > 0  # NaN phases would transmit every photon
+    assert 0 < np.count_nonzero(bs2) < bs2.size  # NaN phases would transmit every photon
     assert_kernel_fills_the_reference_arrays(cfg)
 
 
@@ -224,7 +230,7 @@ configs = st.builds(
 def assert_kernel_fills_the_reference_arrays(config):
     # both calls of the kernel, run_mzi's and stream_outcomes', against the oracle
     reference = stream_outcomes(reference_stream, config)
-    _, (_, *shipped) = run_mzi(config)
+    _, *shipped = run_mzi(config)
     for kernel in (stream_outcomes(_load_kernel(), config), shipped):
         for got, expected in zip(kernel, reference, strict=True):
             np.testing.assert_array_equal(got, expected)
@@ -277,7 +283,7 @@ def test_stream_loop_matches_reference_where_each_phase_step_passes_4_pi(config)
     """The kernel's wrap takes no quotient for -TWO_PI < x < 2*TWO_PI and
     calls fmod otherwise; at these frequencies every nu*gap step by which a
     phase is carried is past 4*pi, so every step takes the fmod path."""
-    _, (emissions, _, _) = run_mzi(config)
+    emissions, _, _ = run_mzi(config)
     gaps = np.diff(emissions, prepend=0.0)
     slowest = min(config.particle_frequency, config.bs1.frequency, config.bs2.frequency)
     assert slowest * gaps.min() > 2 * TWO_PI
@@ -296,7 +302,7 @@ def test_stream_loop_matches_reference_on_every_arm_of_wrap(phase):
     at -20.0."""
     config = config_from_dict(
         {**EVERY_ARM, "photon_count": 2000, "particle_initial_phase": phase, "delta": 1.3})
-    _, (emissions, _, _) = run_mzi(config)
+    emissions, _, _ = run_mzi(config)
     steps = config.particle_frequency * np.diff(emissions, prepend=0.0)
     assert steps.max() > 2 * TWO_PI and steps.min() < TWO_PI
     assert _stream_params(config)[-1] != 0.0  # lag2
@@ -316,9 +322,8 @@ def test_stream_loop_transmits_at_an_exact_pi_difference():
     })
     nu_p, path1, path2, nu1, _, _, s1, nu2, _, _, c2, lag2 = _stream_params(config)
     assert wrap_phase(nu_p * 1.0) == path1 == path2 == s1 == c2 == lag2 == nu1 == nu2 == 0.0
-    (d1, d2), (_, bs1, bs2) = run_mzi(config)
-    assert (d1, d2) == (0, 1000)
-    assert not bs1.any() and not bs2.any()
+    _, bs1, bs2 = run_mzi(config)
+    assert bs1.size == 1000 and not bs1.any() and not bs2.any()
     assert_kernel_fills_the_reference_arrays(config)
 
 
@@ -332,7 +337,7 @@ def test_phase_fixed_at_bs1_offset_reflects_every_photon_at_any_time(loop, law):
     phase by the gaps, so that rounding never reaches a decision."""
     cfg = small_config(photon_count=3000, source_rate=0.05, inter_arrival_law=law,
                        particle_initial_phase=0.0, delta=2.0, master_seed=1)
-    _, (emissions, bs1, _) = run_mzi(cfg)
+    emissions, bs1, _ = run_mzi(cfg)
     assert emissions[-1] > 2 * 2**13
     assert np.count_nonzero(bs1 == 0) == 0
 
@@ -357,8 +362,7 @@ def test_stream_loops_snap_initial_phases_just_below_two_pi(configured, config, 
         snapped = (replace(config, particle_initial_phase=0.0), None)
     else:
         rng = np.random.default_rng(config.master_seed)
-        generate_emissions(config.source_rate, config.photon_count, rng,
-                           law=config.inter_arrival_law)
+        generate_emissions(config, rng)
         turns = rng.random(config.photon_count)  # the drawn phases, in turns
         picks = data.draw(st.lists(
             st.tuples(st.integers(0, turns.size - 1), turns_below_one), max_size=10))
@@ -382,7 +386,7 @@ def test_reversed_stream_changes_splitter_memory():
     cfg = small_config(photon_count=3000, delta=1.7)
     n = cfg.photon_count
     rng = np.random.default_rng(cfg.master_seed)
-    gaps = generate_emissions(cfg.source_rate, n, rng, law=cfg.inter_arrival_law)
+    gaps = generate_emissions(cfg, rng)
     turns = rng.random(n)
     loop = _load_kernel()
     forward, backward = ([np.empty(n, np.int8), np.empty(n, np.int8)] for _ in range(2))
@@ -418,8 +422,7 @@ def test_child_seed_rejects_negative_index():
 
 def test_sweep_single_point_equals_direct_run():
     cfg = small_config()
-    direct, _ = run_mzi(point_config(cfg, 0.0))
-    assert run_sweep(cfg, [0.0]) == [direct]
+    assert run_sweep(cfg, [0.0]) == [_counts(point_config(cfg, 0.0))]
 
 
 def test_sweep_is_permutation_invariant():
@@ -441,7 +444,7 @@ def test_sweep_equals_one_run_per_point_on_uneven_slices(jobs):
     # 7 points over a pool of 2 workers, which cannot share them evenly
     cfg = small_config(photon_count=700)
     deltas = [0.0, 0.4, 1.1, 2.5, 3.3, 4.0, 5.9]
-    expected = [run_mzi(point_config(cfg, d))[0] for d in deltas]
+    expected = [_counts(point_config(cfg, d)) for d in deltas]
     assert run_sweep(cfg, deltas, jobs=jobs) == expected
 
 

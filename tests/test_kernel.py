@@ -27,9 +27,8 @@ import numpy as np
 import pytest
 
 from mzsim import experiment
-from mzsim.config import ExperimentConfig, config_from_dict
-from mzsim.experiment import _load_kernel, run_mzi, run_single_bs, run_sweep
-from mzsim.optics import INTER_ARRIVAL_LAWS
+from mzsim.config import INTER_ARRIVAL_LAWS, ExperimentConfig, config_from_dict
+from mzsim.experiment import _counts, _load_kernel, run_mzi, run_sweep
 from mzsim.phases import TWO_PI, WRAP_SNAP, wrap_phase
 
 CC = shutil.which("cc")
@@ -72,15 +71,14 @@ def test_failed_build_is_an_error_naming_its_cause(tmp_path, monkeypatch, fresh_
         (tmp_path / "__pycache__").write_text("")  # a file where the cache goes
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for run in (run_mzi, run_single_bs):
-            with pytest.raises(OSError, match=BUILD_FAILURES[failure]) as raised:
-                run(cfg)
-            if failure == "compile-fails":  # the start of the compiler's stderr, 2000 characters
-                said = str(raised.value).split("\n", 1)[1]
-                assert said == "_kernel.c:1:1: error: a diagnostic\n" + "x" * 1965
-            elif failure == "cache-not-writable":
-                assert str(raised.value).startswith(
-                    f"the kernel cache directory {tmp_path / '__pycache__'} cannot be written: ")
+        with pytest.raises(OSError, match=BUILD_FAILURES[failure]) as raised:
+            run_mzi(cfg)
+        if failure == "compile-fails":  # the start of the compiler's stderr, 2000 characters
+            said = str(raised.value).split("\n", 1)[1]
+            assert said == "_kernel.c:1:1: error: a diagnostic\n" + "x" * 1965
+        elif failure == "cache-not-writable":
+            assert str(raised.value).startswith(
+                f"the kernel cache directory {tmp_path / '__pycache__'} cannot be written: ")
     assert caught == []
     assert [p.name for p in tmp_path.rglob("*") if p.suffix in (".so", ".tmp")] == []
 
@@ -94,9 +92,9 @@ def test_concurrent_first_compile_leaves_one_library(tmp_path):
     script = (
         "from dataclasses import replace\n"
         "from mzsim.config import ExperimentConfig\n"
-        "from mzsim.experiment import _load_kernel, run_mzi\n"
+        "from mzsim.experiment import _counts, _load_kernel\n"
         "assert _load_kernel() is not None\n"
-        "print(run_mzi(replace(ExperimentConfig(), photon_count=3000, delta=1.5))[0])\n"
+        "print(_counts(replace(ExperimentConfig(), photon_count=3000, delta=1.5)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(tmp_path)}
     procs = [
@@ -239,7 +237,7 @@ def test_kernel_runs_clean_under_the_address_and_undefined_behaviour_sanitizers(
         "from mzsim.config import config_from_dict\n"
         "experiment._build_kernel = lambda: Path(sys.argv[1])\n"
         "for run in ast.literal_eval(sys.argv[2]):\n"
-        "    print(experiment.run_mzi(config_from_dict(run))[0])\n"
+        "    print(experiment._counts(config_from_dict(run)))\n"
     )
     env = {
         **os.environ,
@@ -253,7 +251,7 @@ def test_kernel_runs_clean_under_the_address_and_undefined_behaviour_sanitizers(
     )
     assert done.returncode == 0, done.stderr[-4000:]
     assert done.stderr == ""
-    expected = [run_mzi(config_from_dict(run))[0] for run in BLOCK_EDGE_RUNS]
+    expected = [_counts(config_from_dict(run)) for run in BLOCK_EDGE_RUNS]
     assert done.stdout.splitlines() == [str(counts) for counts in expected]
 
 
@@ -309,11 +307,10 @@ def call_wrap(wrap_array, x):
 
 
 def assert_same_run(a, b):
-    """Equal counts and, photon for photon, equal outcome arrays of the
-    same shape and dtype (``bs2`` None in both, for single-bs runs)."""
-    (counts_a, arrays_a), (counts_b, arrays_b) = a, b
-    assert counts_a == counts_b
-    for x, y in zip(arrays_a, arrays_b, strict=True):  # emissions, bs1, bs2
+    """Photon for photon, equal arrays of the same shape and dtype: the
+    ``(emissions, bs1, bs2)`` of two :func:`run_mzi` runs, or the same
+    leading part of each."""
+    for x, y in zip(a, b, strict=True):
         np.testing.assert_array_equal(x, y, strict=True)
 
 
